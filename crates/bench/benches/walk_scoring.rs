@@ -1,9 +1,7 @@
 //! Criterion bench: per-user vs batch scoring on the random-walk hot path.
 //!
-//! Three rungs per algorithm (HT and AC1) on a synthetic long-tail corpus:
+//! Four rungs per algorithm (HT and AC1) on a synthetic long-tail corpus:
 //!
-//! * `prerefactor`  — the seed's query path (owned subgraph, per-edge
-//!   division, fresh allocations per query), one user per iteration;
 //! * `context`      — the kernel + `ScoringContext` path, one user per
 //!   iteration through a reused context;
 //! * `batch64/t4`   — 64 users through `Recommender::score_batch` at 4
@@ -17,7 +15,6 @@
 //! same comparison standalone and writes `BENCH_walk_scoring.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use longtail_bench::baseline;
 use longtail_core::{
     top_k, AbsorbingCostConfig, AbsorbingCostRecommender, GraphRecConfig, HittingTimeRecommender,
     RecommendOptions, Recommender, ScoringContext,
@@ -32,7 +29,6 @@ fn bench_walk_scoring(c: &mut Criterion) {
         ..SyntheticConfig::movielens_like()
     });
     let train = &data.dataset;
-    let graph = train.to_graph();
     let config = GraphRecConfig {
         max_items: 300,
         iterations: 15,
@@ -51,13 +47,6 @@ fn bench_walk_scoring(c: &mut Criterion) {
     let mut group = c.benchmark_group("walk_scoring");
     let mut cursor = 0usize;
 
-    group.bench_function("ht/prerefactor", |b| {
-        b.iter(|| {
-            let u = users[cursor % users.len()];
-            cursor += 1;
-            baseline::prerefactor_hitting_scores(&graph, u, &config)
-        });
-    });
     let mut ctx = ScoringContext::new();
     let mut out = Vec::new();
     group.bench_function("ht/context", |b| {
@@ -94,19 +83,6 @@ fn bench_walk_scoring(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("ac1/prerefactor", |b| {
-        b.iter(|| {
-            let u = users[cursor % users.len()];
-            cursor += 1;
-            baseline::prerefactor_absorbing_cost_scores(
-                &graph,
-                ac1.user_entropies(),
-                1.0,
-                u,
-                &config,
-            )
-        });
-    });
     let mut ctx = ScoringContext::new();
     let mut out = Vec::new();
     group.bench_function("ac1/context", |b| {

@@ -1,18 +1,16 @@
-//! Walk-scoring perf baseline: sequential pre-refactor vs batch scoring,
-//! plus fused top-k serving vs score-then-sort.
+//! Walk-scoring perf summary: sequential vs batch scoring, plus fused top-k
+//! serving vs score-then-sort.
 //!
 //! Times 64-user scoring for HT and AC1 on a synthetic long-tail corpus
-//! three ways — the seed's pre-refactor query path run sequentially, the
-//! kernel + `ScoringContext` path run sequentially, and
+//! two ways — the kernel + `ScoringContext` path run sequentially, and
 //! `Recommender::score_batch` at 1 and 4 worker threads — plus single-query
-//! latency for both paths, and the top-10 *recommendation* comparison
+//! HT latency, and the top-10 *recommendation* comparison
 //! (materialize-and-sort vs the fused `recommend_into`/`recommend_batch`
 //! path), writing a machine-readable summary to `BENCH_walk_scoring.json`
 //! so future PRs have a perf trajectory.
 //!
 //! Run with `cargo run --release -p longtail-bench --bin bench_walk_scoring`.
 
-use longtail_bench::baseline;
 use longtail_core::{
     top_k, AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, DpStopping,
     DpTelemetry, GraphRecConfig, HittingTimeRecommender, PopularityRecommender, RecommendOptions,
@@ -26,7 +24,6 @@ use longtail_eval::{
     catalog_coverage, exposure_counts, gini_concentration, list_recall, novelty, sample_test_users,
     tail_recall_split, time_open_loop_submission, RecommendationLists, TimingStats,
 };
-use longtail_graph::BipartiteGraph;
 use longtail_serve::{
     BreakerConfig, DeltaConfig, DeltaRating, DeltaStore, Engine, FaultKind, FaultPlan,
     FaultyRecommender, Priority, RecommendRequest, RecommendResponse, RetryPolicy, SchedPolicy,
@@ -111,25 +108,10 @@ struct Measurement {
 
 fn measure_algorithm(
     label: &'static str,
-    graph: &BipartiteGraph,
-    config: &GraphRecConfig,
     users: &[u32],
     rec: &dyn Recommender,
-    prerefactor: &dyn Fn(u32) -> Vec<f64>,
 ) -> Vec<Measurement> {
     let mut out = Vec::new();
-    let _ = (graph, config);
-
-    let seq_pre = time_best(|| {
-        for &u in users {
-            std::hint::black_box(prerefactor(u));
-        }
-    });
-    out.push(Measurement {
-        name: "sequential_prerefactor",
-        seconds_per_batch: seq_pre,
-    });
-
     let mut ctx = ScoringContext::new();
     let mut scores = Vec::new();
     let seq_ctx = time_best(|| {
@@ -157,7 +139,7 @@ fn measure_algorithm(
     let base = out[0].seconds_per_batch;
     for m in &out {
         println!(
-            "  {:<24} {:>10.4} ms/batch  {:>8.4} ms/query  {:>5.2}x vs pre-refactor",
+            "  {:<24} {:>10.4} ms/batch  {:>8.4} ms/query  {:>5.2}x vs sequential",
             m.name,
             m.seconds_per_batch * 1e3,
             m.seconds_per_batch * 1e3 / BATCH as f64,
@@ -165,10 +147,6 @@ fn measure_algorithm(
         );
     }
     out
-}
-
-fn single_query_seconds(f: impl FnMut()) -> f64 {
-    time_best(f)
 }
 
 struct EarlyTermination {
@@ -1298,7 +1276,6 @@ fn main() {
     };
     let data = SyntheticData::generate(&config);
     let train = &data.dataset;
-    let graph = train.to_graph();
     let walk_config = GraphRecConfig {
         max_items: 300,
         iterations: 15,
@@ -1324,18 +1301,8 @@ fn main() {
         walk_config.iterations
     );
 
-    let ht_measurements = measure_algorithm("HT", &graph, &walk_config, &users, &ht, &|u| {
-        baseline::prerefactor_hitting_scores(&graph, u, &walk_config)
-    });
-    let ac_measurements = measure_algorithm("AC1", &graph, &walk_config, &users, &ac1, &|u| {
-        baseline::prerefactor_absorbing_cost_scores(
-            &graph,
-            ac1.user_entropies(),
-            1.0,
-            u,
-            &walk_config,
-        )
-    });
+    let ht_measurements = measure_algorithm("HT", &users, &ht);
+    let ac_measurements = measure_algorithm("AC1", &users, &ac1);
 
     // Fused top-k vs score-then-sort on a serving-scale catalog: the same
     // walk budget, but a catalog where building + scanning a full score
@@ -1464,27 +1431,15 @@ fn main() {
     let at_early = measure_early_termination("AT", &serve_users, &et_at);
     let ac_early = measure_early_termination("AC1", &serve_users, &et_ac1);
 
-    // Single-query latency: the refactored path must not regress.
+    // Single-query latency of the context path.
     let probe = users[0];
-    let single_pre = single_query_seconds(|| {
-        std::hint::black_box(baseline::prerefactor_hitting_scores(
-            &graph,
-            probe,
-            &walk_config,
-        ));
-    });
     let mut ctx = ScoringContext::new();
     let mut scores = Vec::new();
-    let single_ctx = single_query_seconds(|| {
+    let single_ctx = time_best(|| {
         ht.score_into(probe, &mut ctx, &mut scores);
         std::hint::black_box(scores.last());
     });
-    println!(
-        "\nsingle HT query: pre-refactor {:.4} ms, context {:.4} ms ({:.2}x)",
-        single_pre * 1e3,
-        single_ctx * 1e3,
-        single_pre / single_ctx
-    );
+    println!("\nsingle HT query: context {:.4} ms", single_ctx * 1e3);
 
     let json = render_json(
         &config,
@@ -1511,7 +1466,6 @@ fn main() {
         &ac_early,
         &ht_quality,
         &ac_quality,
-        single_pre,
         single_ctx,
     );
     let path = "BENCH_walk_scoring.json";
@@ -1545,7 +1499,6 @@ fn render_json(
     ac_early: &EarlyTermination,
     ht_quality: &LongtailQuality,
     ac_quality: &LongtailQuality,
-    single_pre: f64,
     single_ctx: f64,
 ) -> String {
     fn series(ms: &[Measurement], baseline_key: &str) -> String {
@@ -1764,14 +1717,14 @@ fn render_json(
          \"tail_quota\": {}, \"tail_cutoff\": {}}},\n    \
          \"max_recall_drop\": {QUALITY_RECALL_DROP},\n    \
          \"HT\": {},\n    \"AC1\": {}\n  }},\n  \
-         \"single_query_ht\": {{\"prerefactor_seconds\": {:.6e}, \"context_seconds\": {:.6e}, \"speedup\": {:.3}}}\n}}\n",
+         \"single_query_ht\": {{\"context_seconds\": {:.6e}}}\n}}\n",
         config.n_users,
         config.n_items,
         walk.max_items,
         walk.iterations,
         std::thread::available_parallelism().map_or(1, |p| p.get()),
-        series(ht, "speedup_vs_prerefactor"),
-        series(ac, "speedup_vs_prerefactor"),
+        series(ht, "speedup_vs_sequential"),
+        series(ac, "speedup_vs_sequential"),
         serve_config.n_users,
         serve_config.n_items,
         series(ht_rec, "speedup_vs_score_then_sort"),
@@ -1800,8 +1753,6 @@ fn render_json(
         quality_policy().tail_cutoff,
         longtail_quality(ht_quality),
         longtail_quality(ac_quality),
-        single_pre,
-        single_ctx,
-        single_pre / single_ctx
+        single_ctx
     )
 }

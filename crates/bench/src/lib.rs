@@ -7,8 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
-
 use longtail_core::{
     AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,
     HittingTimeRecommender, LdaRecommender, PageRankRecommender, PureSvdRecommender, Recommender,

@@ -43,8 +43,8 @@ fn walk_scoring_summary_keeps_its_schema() {
         assert!(json.contains(key), "schema drift: missing {key}");
     }
 
-    // Scoring series: both algorithms, all four measurements, with the
-    // speedup field keyed to the pre-refactor baseline.
+    // Scoring series: both algorithms, all three measurements, with the
+    // speedup field keyed to the sequential context path.
     for algo in ["\"HT\": [", "\"AC1\": ["] {
         assert_eq!(
             json.matches(algo).count(),
@@ -268,19 +268,14 @@ fn walk_scoring_summary_keeps_its_schema() {
         "protected engine availability fell below the 99% target"
     );
 
-    for series in [
-        "sequential_prerefactor",
-        "sequential_context",
-        "batch_t1",
-        "batch_t4",
-    ] {
+    for series in ["sequential_context", "batch_t1", "batch_t4"] {
         assert_eq!(
             json.matches(&format!("\"name\": \"{series}\"")).count(),
             2,
             "schema drift: scoring series {series} missing for an algorithm"
         );
     }
-    assert!(json.contains("\"speedup_vs_prerefactor\""));
+    assert!(json.contains("\"speedup_vs_sequential\""));
 
     // Fused top-k series: score-then-sort baseline plus the fused and batch
     // forms, with speedups keyed to score-then-sort.
@@ -395,14 +390,11 @@ fn walk_scoring_summary_keeps_its_schema() {
         "the re-rank policy dropped recall beyond the allowed budget"
     );
 
-    // Single-query latency fields.
-    for key in [
-        "\"prerefactor_seconds\"",
-        "\"context_seconds\"",
-        "\"speedup\"",
-    ] {
-        assert!(json.contains(key), "schema drift: single_query_ht.{key}");
-    }
+    // Single-query latency field.
+    assert!(
+        json.contains("\"context_seconds\""),
+        "schema drift: single_query_ht.context_seconds"
+    );
 
     // Structural sanity: brace balance, so a truncated write is caught too.
     let opens = json.matches('{').count();

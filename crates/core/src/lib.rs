@@ -207,8 +207,10 @@ pub trait Recommender: Sync {
     ///
     /// The default implementation ignores the delta and serves the frozen
     /// base model — correct-but-stale for the non-walk families, which
-    /// would need retraining to absorb new ratings. HT/AT/AC override it
-    /// with the true merge, scoring base + delta without any rebuild.
+    /// would need retraining to absorb new ratings. HT/AT/AC implement it
+    /// with the true merge, scoring base + delta without any rebuild,
+    /// through the same walk routine as their `recommend_into` (a user
+    /// outside the merged graph is served an empty list).
     fn recommend_delta_into(
         &self,
         _delta: &EdgeDelta,

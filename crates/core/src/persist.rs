@@ -11,7 +11,9 @@
 //!   deterministic function of the rating matrix (HT, AT, PageRank,
 //!   popularity) persist the `CsrMatrix` plus their configuration and
 //!   re-derive the rest on load. Re-derivation is O(ratings), not
-//!   O(training), so the restart-without-retrain property holds.
+//!   O(training), so the restart-without-retrain property holds. The walk
+//!   families (HT, AT, AC) also persist the graph's timestamp matrix when
+//!   it has one, since recency-decayed serving reads it.
 //! * **Verbatim state** — families whose training is expensive or seeded
 //!   (kNN's quadratic neighbor search, rule mining, the randomized SVD
 //!   sketch, collapsed-Gibbs LDA, AC2's topic entropies) persist the
@@ -208,12 +210,43 @@ fn load_dataset(snap: &Snapshot) -> Result<Dataset, SnapshotError> {
     Ok(Dataset::from_matrix(CsrMatrix::load_from(snap, "ratings")?))
 }
 
-fn load_graph_config(snap: &Snapshot) -> Result<GraphRecConfig, SnapshotError> {
+/// Save a walk model's training graph — the rating matrix plus, when the
+/// graph carries them, its per-edge timestamps, which recency-decayed
+/// serving reads — and its μ/τ configuration.
+fn save_walk(w: &mut SnapshotWriter, graph: &BipartiteGraph, config: GraphRecConfig) {
+    graph.user_items().save_into(w, "ratings");
+    if let Some(times) = graph.user_item_times() {
+        times.save_into(w, "times");
+    }
+    w.put_u64s(
+        "config",
+        &[config.max_items as u64, config.iterations as u64],
+    );
+}
+
+/// Load what [`save_walk`] wrote. A snapshot without a timestamp section
+/// loads an untimed graph; timestamps shaped unlike the ratings are an
+/// invalid section.
+fn load_walk(snap: &Snapshot) -> Result<(Dataset, GraphRecConfig), SnapshotError> {
+    let ratings = CsrMatrix::load_from(snap, "ratings")?;
+    let train = if snap.section_names().contains(&"times.dims") {
+        let times = CsrMatrix::load_from(snap, "times")?;
+        if !times.same_structure(&ratings) {
+            return Err(invalid(
+                "times",
+                "timestamp matrix structure differs from the rating matrix".to_string(),
+            ));
+        }
+        Dataset::from_matrix_with_times(ratings, times)
+    } else {
+        Dataset::from_matrix(ratings)
+    };
     let [max_items, iterations] = u64_array(snap, "config")?;
-    Ok(GraphRecConfig {
+    let config = GraphRecConfig {
         max_items: max_items as usize,
         iterations: iterations as usize,
-    })
+    };
+    Ok((train, config))
 }
 
 impl Persistable for HittingTimeRecommender {
@@ -221,17 +254,11 @@ impl Persistable for HittingTimeRecommender {
     const STATE_VERSION: u32 = 1;
 
     fn save_into(&self, w: &mut SnapshotWriter) {
-        self.graph().user_items().save_into(w, "ratings");
-        let config = self.config();
-        w.put_u64s(
-            "config",
-            &[config.max_items as u64, config.iterations as u64],
-        );
+        save_walk(w, self.graph(), self.config());
     }
 
     fn load_from(snap: &Snapshot) -> Result<Self, SnapshotError> {
-        let train = load_dataset(snap)?;
-        let config = load_graph_config(snap)?;
+        let (train, config) = load_walk(snap)?;
         Ok(Self::new(&train, config))
     }
 }
@@ -241,17 +268,11 @@ impl Persistable for AbsorbingTimeRecommender {
     const STATE_VERSION: u32 = 1;
 
     fn save_into(&self, w: &mut SnapshotWriter) {
-        self.graph().user_items().save_into(w, "ratings");
-        let config = self.config();
-        w.put_u64s(
-            "config",
-            &[config.max_items as u64, config.iterations as u64],
-        );
+        save_walk(w, self.graph(), self.config());
     }
 
     fn load_from(snap: &Snapshot) -> Result<Self, SnapshotError> {
-        let train = load_dataset(snap)?;
-        let config = load_graph_config(snap)?;
+        let (train, config) = load_walk(snap)?;
         Ok(Self::new(&train, config))
     }
 }
@@ -261,15 +282,8 @@ impl Persistable for AbsorbingCostRecommender {
     const STATE_VERSION: u32 = 1;
 
     fn save_into(&self, w: &mut SnapshotWriter) {
-        self.user_items().save_into(w, "ratings");
         let config = self.config();
-        w.put_u64s(
-            "config",
-            &[
-                config.graph.max_items as u64,
-                config.graph.iterations as u64,
-            ],
-        );
+        save_walk(w, self.graph(), config.graph);
         w.put_f64s("item_entry_cost", &[config.item_entry_cost]);
         // The entropies are trained state: AC2's come from an LDA model
         // that is not persisted, so both variants restore them verbatim.
@@ -282,14 +296,13 @@ impl Persistable for AbsorbingCostRecommender {
     }
 
     fn load_from(snap: &Snapshot) -> Result<Self, SnapshotError> {
-        let ratings = CsrMatrix::load_from(snap, "ratings")?;
-        let graph_config = load_graph_config(snap)?;
+        let (train, graph_config) = load_walk(snap)?;
         let [item_entry_cost] = f64_array(snap, "item_entry_cost")?;
         let user_entropy = snap.f64s("user_entropy")?;
-        if user_entropy.len() != ratings.rows() {
+        if user_entropy.len() != train.n_users() {
             return Err(invalid(
                 "user_entropy",
-                format!("length {} != {} users", user_entropy.len(), ratings.rows()),
+                format!("length {} != {} users", user_entropy.len(), train.n_users()),
             ));
         }
         let source = match snap.u32s("entropy_source")?.as_slice() {
@@ -303,7 +316,7 @@ impl Persistable for AbsorbingCostRecommender {
             }
         };
         Ok(Self::from_parts(
-            BipartiteGraph::from_user_item_matrix(ratings),
+            train.to_graph(),
             user_entropy,
             source,
             AbsorbingCostConfig {

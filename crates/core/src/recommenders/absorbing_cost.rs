@@ -10,15 +10,12 @@
 //! * **AC2** — topic-based entropy (Eq. 11) from the LDA model of §4.2.3,
 //!   the best performer in every experiment of §5.
 
-use crate::config::{AbsorbingCostConfig, DpStopping, RecommendOptions};
+use crate::config::{AbsorbingCostConfig, RecommendOptions};
 use crate::context::ScoringContext;
-use crate::walk_common::{
-    collect_walk_topk, grow_absorbing_subgraph, reset_scores, run_truncated_walk,
-    write_scores_from_scratch, WalkCostModel, WalkMode,
-};
+use crate::walk_common::{Absorb, EntryCosts, Walk};
 use crate::{Recommender, ScoredItem};
 use longtail_data::Dataset;
-use longtail_graph::{BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph};
+use longtail_graph::{BipartiteGraph, EdgeDelta, GraphView, OverlayGraph};
 use longtail_topics::{item_based_entropy, topic_based_entropy, LdaConfig, LdaModel};
 
 /// Which entropy estimator an [`AbsorbingCostRecommender`] uses.
@@ -105,9 +102,9 @@ impl AbsorbingCostRecommender {
         self.config
     }
 
-    /// Training matrix (the snapshot save path persists it).
-    pub(crate) fn user_items(&self) -> &longtail_graph::CsrMatrix {
-        self.graph.user_items()
+    /// Training graph (the snapshot save path persists it).
+    pub(crate) fn graph(&self) -> &BipartiteGraph {
+        &self.graph
     }
 
     /// Which entropy estimator this instance uses.
@@ -120,40 +117,38 @@ impl AbsorbingCostRecommender {
         &self.user_entropy
     }
 
-    /// Fill `costs` with per-local-node entry costs for the current
-    /// subgraph: entering user `u` costs `entropy_of(u)`, entering an item
-    /// costs the constant `C` (Eq. 9). `n_users` is the view's user count
-    /// (which may exceed the base graph's when a delta adds users).
-    fn fill_local_costs(
-        &self,
-        n_users: usize,
-        entropy_of: &dyn Fn(u32) -> f64,
-        global_ids: &[usize],
-        costs: &mut Vec<f64>,
-    ) {
-        costs.clear();
-        costs.extend(global_ids.iter().map(|&global| {
-            if global < n_users {
-                entropy_of(global as u32)
-            } else {
-                self.config.item_entry_cost
-            }
-        }));
+    /// The absorbing-cost walk: absorbed at the user's rated set, each hop
+    /// charged by [`EntryCosts`].
+    fn walk(&self) -> Walk<'_> {
+        Walk {
+            graph: &self.graph,
+            config: self.config.graph,
+            absorb: Absorb::RatedItems,
+            costs: Some(self),
+        }
     }
+}
 
-    /// Entry cost of `user` when serving over a base + `overlay` merge.
+impl EntryCosts for AbsorbingCostRecommender {
+    /// Entering `user` costs their entropy (Eq. 9). Over a base +
+    /// `overlay` merge:
     ///
     /// * **AC1** — a user untouched by the delta keeps their precomputed
     ///   Eq. 10 entropy; a touched (or delta-only) user's entropy is
     ///   recomputed from the merged rating row, term-for-term in the same
     ///   ascending-item order as
     ///   [`item_based_entropy`], so it matches a full rebuild exactly.
+    ///   Entropies always come from the *undecayed* merged ratings (Eq. 10
+    ///   is defined on the rating distribution, not on decayed weights).
     /// * **AC2** — topic entropies come from the fixed LDA model, which the
     ///   delta does not retrain: base users keep their model entropy (what
     ///   a rebuild sharing the model computes); delta-only users, absent
     ///   from the model, fall back to the mean base entropy — neutral
     ///   until the next compaction retrains.
-    fn overlay_entropy(&self, overlay: &OverlayGraph<'_>, user: u32) -> f64 {
+    fn user_cost(&self, overlay: Option<&OverlayGraph<'_>>, user: u32) -> f64 {
+        let Some(overlay) = overlay else {
+            return self.user_entropy[user as usize];
+        };
         let in_base = (user as usize) < self.graph.n_users();
         match self.source {
             EntropySource::ItemBased => {
@@ -189,94 +184,8 @@ impl AbsorbingCostRecommender {
         }
     }
 
-    /// Run the entropy-biased absorbing-cost walk for `user` under `mode`
-    /// and the request's `stopping` policy, leaving per-node costs in
-    /// `ctx.walk`. Returns `false` when the user rated nothing (no
-    /// absorbing set), or
-    /// when the request's deadline cancelled the walk (the values then
-    /// rank nothing — see [`crate::RecommendOptions::deadline`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_walk<G: GraphView>(
-        &self,
-        view: &G,
-        entropy_of: &dyn Fn(u32) -> f64,
-        user: u32,
-        mode: WalkMode<'_>,
-        stopping: DpStopping,
-        deadline: Option<std::time::Instant>,
-        ctx: &mut ScoringContext,
-    ) -> bool {
-        if !grow_absorbing_subgraph(view, user, self.config.graph.max_items, ctx) {
-            return false;
-        }
-        self.fill_local_costs(
-            view.n_users(),
-            entropy_of,
-            ctx.subgraph.global_ids(),
-            &mut ctx.entry_costs,
-        );
-        let run = run_truncated_walk(
-            view,
-            WalkCostModel::EntryCosts,
-            self.config.graph.iterations,
-            mode,
-            stopping,
-            deadline,
-            ctx,
-        );
-        // A deadline-cancelled run ranks partially-iterated values:
-        // report it like an empty walk so no caller ever collects a
-        // garbage list (the telemetry records the cancellation).
-        !run.cancelled
-    }
-
-    /// The fused serving path over any [`GraphView`] — the frozen base, a
-    /// base + delta overlay, or either under recency decay.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_view<G: GraphView>(
-        &self,
-        view: &G,
-        entropy_of: &dyn Fn(u32) -> f64,
-        user: u32,
-        k: usize,
-        rated: &[u32],
-        opts: &RecommendOptions<'_>,
-        ctx: &mut ScoringContext,
-        out: &mut Vec<ScoredItem>,
-    ) {
-        // Fused: only subgraph-visited items can carry a finite absorbing
-        // cost, so the collector sees the visited neighborhood only. With
-        // an enabled re-rank policy the collector (and the rank-stability
-        // probe, via the mode's k) is armed for the top-M pool instead of
-        // k.
-        let fetch = opts.fetch(k);
-        ctx.topk.reset(fetch);
-        let mode = WalkMode::Serving {
-            k: fetch,
-            rated,
-            extra: opts.exclude.as_slice(),
-            rated_absorbing: true,
-        };
-        if self.run_walk(
-            view,
-            entropy_of,
-            user,
-            mode,
-            opts.stopping,
-            opts.deadline,
-            ctx,
-        ) {
-            collect_walk_topk(
-                view,
-                &ctx.subgraph,
-                &ctx.walk,
-                rated,
-                opts.exclude.as_slice(),
-                &mut ctx.topk,
-            );
-        }
-        ctx.topk.drain_sorted_into(out);
-        opts.finalize_topk(k, ctx, out);
+    fn item_cost(&self) -> f64 {
+        self.config.item_entry_cost
     }
 }
 
@@ -289,19 +198,7 @@ impl Recommender for AbsorbingCostRecommender {
     }
 
     fn score_into(&self, user: u32, ctx: &mut ScoringContext, out: &mut Vec<f64>) {
-        reset_scores(&self.graph, out);
-        let base_entropy = |u: u32| self.user_entropy[u as usize];
-        if self.run_walk(
-            &self.graph,
-            &base_entropy,
-            user,
-            WalkMode::Reference,
-            DpStopping::Fixed,
-            None,
-            ctx,
-        ) {
-            write_scores_from_scratch(&self.graph, &ctx.subgraph, ctx.walk.values(), out);
-        }
+        self.walk().score_into(user, ctx, out);
     }
 
     fn recommend_into(
@@ -312,21 +209,7 @@ impl Recommender for AbsorbingCostRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        let rated = self.rated_items(user);
-        let base_entropy = |u: u32| self.user_entropy[u as usize];
-        match opts.recency {
-            None => self.serve_view(&self.graph, &base_entropy, user, k, rated, opts, ctx, out),
-            Some(decay) => self.serve_view(
-                &Decayed::new(&self.graph, decay),
-                &base_entropy,
-                user,
-                k,
-                rated,
-                opts,
-                ctx,
-                out,
-            ),
-        }
+        self.walk().serve(None, user, k, opts, ctx, out);
     }
 
     fn recommend_delta_into(
@@ -338,37 +221,11 @@ impl Recommender for AbsorbingCostRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        if delta.is_empty() {
-            return self.recommend_into(user, k, opts, ctx, out);
-        }
-        let overlay = OverlayGraph::new(&self.graph, delta);
-        // Entropies always come from the *undecayed* merged ratings (Eq. 10
-        // is defined on the rating distribution, not on decayed weights),
-        // matching what a rebuild on the union computes.
-        let entropy = |u: u32| self.overlay_entropy(&overlay, u);
-        // The absorbing set and exclusion list are both the merged base +
-        // delta rated set (the subgraph growth re-reads it off the view).
-        let mut merged = std::mem::take(&mut ctx.merged_rated);
-        merged.clear();
-        overlay.for_each_rated(user, |i, _| merged.push(i));
-        match opts.recency {
-            None => self.serve_view(&overlay, &entropy, user, k, &merged, opts, ctx, out),
-            Some(decay) => self.serve_view(
-                &Decayed::new(&overlay, decay),
-                &entropy,
-                user,
-                k,
-                &merged,
-                opts,
-                ctx,
-                out,
-            ),
-        }
-        ctx.merged_rated = merged;
+        self.walk().serve(Some(delta), user, k, opts, ctx, out);
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.graph.user_items().row(user as usize).0
+        self.walk().rated_items(user)
     }
 
     fn n_items(&self) -> usize {

@@ -6,15 +6,12 @@
 //! signal (the paper's Problem 3), and the paper finds AT beats HT on every
 //! metric.
 
-use crate::config::{DpStopping, GraphRecConfig, RecommendOptions};
+use crate::config::{GraphRecConfig, RecommendOptions};
 use crate::context::ScoringContext;
-use crate::walk_common::{
-    collect_walk_topk, grow_absorbing_subgraph, reset_scores, run_truncated_walk,
-    write_scores_from_scratch, WalkCostModel, WalkMode,
-};
+use crate::walk_common::{Absorb, Walk};
 use crate::{Recommender, ScoredItem};
 use longtail_data::Dataset;
-use longtail_graph::{BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph};
+use longtail_graph::{BipartiteGraph, EdgeDelta};
 
 /// The item-based Absorbing Time recommender.
 #[derive(Debug, Clone)]
@@ -48,77 +45,15 @@ impl AbsorbingTimeRecommender {
         self.score_items(user).iter().map(|s| -s).collect()
     }
 
-    /// Run the absorbing-time walk for `user` under `mode` and the
-    /// request's `stopping` policy, leaving per-node times in `ctx.walk`.
-    /// Returns `false` when the user rated nothing (no absorbing set), or
-    /// when the request's deadline cancelled the walk (the values then
-    /// rank nothing — see [`crate::RecommendOptions::deadline`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_walk<G: GraphView>(
-        &self,
-        view: &G,
-        user: u32,
-        mode: WalkMode<'_>,
-        stopping: DpStopping,
-        deadline: Option<std::time::Instant>,
-        ctx: &mut ScoringContext,
-    ) -> bool {
-        if !grow_absorbing_subgraph(view, user, self.config.max_items, ctx) {
-            return false;
+    /// The absorbing-time walk: absorbed at the user's rated set, unit
+    /// steps.
+    fn walk(&self) -> Walk<'_> {
+        Walk {
+            graph: &self.graph,
+            config: self.config,
+            absorb: Absorb::RatedItems,
+            costs: None,
         }
-        let run = run_truncated_walk(
-            view,
-            WalkCostModel::Unit,
-            self.config.iterations,
-            mode,
-            stopping,
-            deadline,
-            ctx,
-        );
-        // A deadline-cancelled run ranks partially-iterated values:
-        // report it like an empty walk so no caller ever collects a
-        // garbage list (the telemetry records the cancellation).
-        !run.cancelled
-    }
-
-    /// The fused serving path over any [`GraphView`] — the frozen base, a
-    /// base + delta overlay, or either under recency decay.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_view<G: GraphView>(
-        &self,
-        view: &G,
-        user: u32,
-        k: usize,
-        rated: &[u32],
-        opts: &RecommendOptions<'_>,
-        ctx: &mut ScoringContext,
-        out: &mut Vec<ScoredItem>,
-    ) {
-        // Fused: only subgraph-visited items can score; the rated set is
-        // absorbing (time 0) but also excluded, so it never surfaces.
-        // With an enabled re-rank policy the collector (and the
-        // rank-stability probe, via the mode's k) is armed for the top-M
-        // pool instead of k.
-        let fetch = opts.fetch(k);
-        ctx.topk.reset(fetch);
-        let mode = WalkMode::Serving {
-            k: fetch,
-            rated,
-            extra: opts.exclude.as_slice(),
-            rated_absorbing: true,
-        };
-        if self.run_walk(view, user, mode, opts.stopping, opts.deadline, ctx) {
-            collect_walk_topk(
-                view,
-                &ctx.subgraph,
-                &ctx.walk,
-                rated,
-                opts.exclude.as_slice(),
-                &mut ctx.topk,
-            );
-        }
-        ctx.topk.drain_sorted_into(out);
-        opts.finalize_topk(k, ctx, out);
     }
 }
 
@@ -128,17 +63,7 @@ impl Recommender for AbsorbingTimeRecommender {
     }
 
     fn score_into(&self, user: u32, ctx: &mut ScoringContext, out: &mut Vec<f64>) {
-        reset_scores(&self.graph, out);
-        if self.run_walk(
-            &self.graph,
-            user,
-            WalkMode::Reference,
-            DpStopping::Fixed,
-            None,
-            ctx,
-        ) {
-            write_scores_from_scratch(&self.graph, &ctx.subgraph, ctx.walk.values(), out);
-        }
+        self.walk().score_into(user, ctx, out);
     }
 
     fn recommend_into(
@@ -149,19 +74,7 @@ impl Recommender for AbsorbingTimeRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        let rated = self.rated_items(user);
-        match opts.recency {
-            None => self.serve_view(&self.graph, user, k, rated, opts, ctx, out),
-            Some(decay) => self.serve_view(
-                &Decayed::new(&self.graph, decay),
-                user,
-                k,
-                rated,
-                opts,
-                ctx,
-                out,
-            ),
-        }
+        self.walk().serve(None, user, k, opts, ctx, out);
     }
 
     fn recommend_delta_into(
@@ -173,32 +86,11 @@ impl Recommender for AbsorbingTimeRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        if delta.is_empty() {
-            return self.recommend_into(user, k, opts, ctx, out);
-        }
-        let overlay = OverlayGraph::new(&self.graph, delta);
-        // The absorbing set and exclusion list are both the merged base +
-        // delta rated set (the subgraph growth re-reads it off the view).
-        let mut merged = std::mem::take(&mut ctx.merged_rated);
-        merged.clear();
-        overlay.for_each_rated(user, |i, _| merged.push(i));
-        match opts.recency {
-            None => self.serve_view(&overlay, user, k, &merged, opts, ctx, out),
-            Some(decay) => self.serve_view(
-                &Decayed::new(&overlay, decay),
-                user,
-                k,
-                &merged,
-                opts,
-                ctx,
-                out,
-            ),
-        }
-        ctx.merged_rated = merged;
+        self.walk().serve(Some(delta), user, k, opts, ctx, out);
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.graph.user_items().row(user as usize).0
+        self.walk().rated_items(user)
     }
 
     fn n_items(&self) -> usize {

@@ -6,15 +6,12 @@
 //! by `π_j`). Computed as an absorbing walk with `S = {q}` on a BFS subgraph
 //! around the query user.
 
-use crate::config::{DpStopping, GraphRecConfig, RecommendOptions};
+use crate::config::{GraphRecConfig, RecommendOptions};
 use crate::context::ScoringContext;
-use crate::walk_common::{
-    collect_walk_topk, reset_scores, run_truncated_walk, write_scores_from_scratch, WalkCostModel,
-    WalkMode,
-};
+use crate::walk_common::{Absorb, Walk};
 use crate::{Recommender, ScoredItem};
 use longtail_data::Dataset;
-use longtail_graph::{BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph};
+use longtail_graph::{BipartiteGraph, EdgeDelta};
 
 /// The user-based Hitting Time recommender.
 #[derive(Debug, Clone)]
@@ -42,88 +39,14 @@ impl HittingTimeRecommender {
         self.config
     }
 
-    /// Run the hitting-time walk for `user` under `mode` and the request's
-    /// `stopping` policy, leaving the per-node times in `ctx.walk`. Returns
-    /// `false` when the query user reaches nothing (an unrated, isolated
-    /// node), or
-    /// when the request's deadline cancelled the walk (the values then
-    /// rank nothing — see [`crate::RecommendOptions::deadline`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_walk<G: GraphView>(
-        &self,
-        view: &G,
-        user: u32,
-        mode: WalkMode<'_>,
-        stopping: DpStopping,
-        deadline: Option<std::time::Instant>,
-        ctx: &mut ScoringContext,
-    ) -> bool {
-        let q = view.user_node(user);
-        ctx.subgraph.grow(view, &[q], self.config.max_items);
-        if ctx.subgraph.n_nodes() == 1 {
-            return false;
+    /// The hitting-time walk: absorbed at the query user.
+    fn walk(&self) -> Walk<'_> {
+        Walk {
+            graph: &self.graph,
+            config: self.config,
+            absorb: Absorb::User,
+            costs: None,
         }
-        let local_q = ctx
-            .subgraph
-            .local_id(q)
-            .expect("seed user is always admitted");
-        ctx.absorbing.clear();
-        ctx.absorbing.resize(ctx.subgraph.n_nodes(), false);
-        ctx.absorbing[local_q as usize] = true;
-        let run = run_truncated_walk(
-            view,
-            WalkCostModel::Unit,
-            self.config.iterations,
-            mode,
-            stopping,
-            deadline,
-            ctx,
-        );
-        // A deadline-cancelled run ranks partially-iterated values:
-        // report it like an empty walk so no caller ever collects a
-        // garbage list (the telemetry records the cancellation).
-        !run.cancelled
-    }
-
-    /// The fused serving path over any [`GraphView`] — the frozen base, a
-    /// base + delta overlay, or either under recency decay.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_view<G: GraphView>(
-        &self,
-        view: &G,
-        user: u32,
-        k: usize,
-        rated: &[u32],
-        opts: &RecommendOptions<'_>,
-        ctx: &mut ScoringContext,
-        out: &mut Vec<ScoredItem>,
-    ) {
-        // Fused: only subgraph-visited items can score, so collect them
-        // straight from the DP state — no global score vector, no full
-        // sort; under the adaptive policy the walk also stops the moment
-        // this top-k is provably frozen. With an enabled re-rank policy
-        // the collector (and the rank-stability probe, via the mode's k)
-        // is armed for the top-M pool instead of k.
-        let fetch = opts.fetch(k);
-        ctx.topk.reset(fetch);
-        let mode = WalkMode::Serving {
-            k: fetch,
-            rated,
-            extra: opts.exclude.as_slice(),
-            rated_absorbing: false,
-        };
-        if self.run_walk(view, user, mode, opts.stopping, opts.deadline, ctx) {
-            collect_walk_topk(
-                view,
-                &ctx.subgraph,
-                &ctx.walk,
-                rated,
-                opts.exclude.as_slice(),
-                &mut ctx.topk,
-            );
-        }
-        ctx.topk.drain_sorted_into(out);
-        opts.finalize_topk(k, ctx, out);
     }
 }
 
@@ -133,17 +56,7 @@ impl Recommender for HittingTimeRecommender {
     }
 
     fn score_into(&self, user: u32, ctx: &mut ScoringContext, out: &mut Vec<f64>) {
-        reset_scores(&self.graph, out);
-        if self.run_walk(
-            &self.graph,
-            user,
-            WalkMode::Reference,
-            DpStopping::Fixed,
-            None,
-            ctx,
-        ) {
-            write_scores_from_scratch(&self.graph, &ctx.subgraph, ctx.walk.values(), out);
-        }
+        self.walk().score_into(user, ctx, out);
     }
 
     fn recommend_into(
@@ -154,19 +67,7 @@ impl Recommender for HittingTimeRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        let rated = self.rated_items(user);
-        match opts.recency {
-            None => self.serve_view(&self.graph, user, k, rated, opts, ctx, out),
-            Some(decay) => self.serve_view(
-                &Decayed::new(&self.graph, decay),
-                user,
-                k,
-                rated,
-                opts,
-                ctx,
-                out,
-            ),
-        }
+        self.walk().serve(None, user, k, opts, ctx, out);
     }
 
     fn recommend_delta_into(
@@ -178,31 +79,11 @@ impl Recommender for HittingTimeRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        if delta.is_empty() {
-            return self.recommend_into(user, k, opts, ctx, out);
-        }
-        let overlay = OverlayGraph::new(&self.graph, delta);
-        // The exclusion set is the merged base + delta rated list.
-        let mut merged = std::mem::take(&mut ctx.merged_rated);
-        merged.clear();
-        overlay.for_each_rated(user, |i, _| merged.push(i));
-        match opts.recency {
-            None => self.serve_view(&overlay, user, k, &merged, opts, ctx, out),
-            Some(decay) => self.serve_view(
-                &Decayed::new(&overlay, decay),
-                user,
-                k,
-                &merged,
-                opts,
-                ctx,
-                out,
-            ),
-        }
-        ctx.merged_rated = merged;
+        self.walk().serve(Some(delta), user, k, opts, ctx, out);
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.graph.user_items().row(user as usize).0
+        self.walk().rated_items(user)
     }
 
     fn n_items(&self) -> usize {

@@ -1,11 +1,24 @@
-//! Shared plumbing for the subgraph-bounded random-walk recommenders.
+//! The one walk routine behind the subgraph-bounded random-walk
+//! recommenders.
 //!
 //! HT, AT and AC all follow Algorithm 1's skeleton: grow a BFS subgraph
 //! around the query's seed nodes, run a truncated absorbing walk on it, and
-//! map the per-node results back to a global item score vector (negated
-//! walk value — smaller time/cost means more recommended). All helpers here
-//! write through caller-owned buffers (the [`crate::ScoringContext`]), so a
-//! steady-state scoring loop performs no `O(n_nodes)` allocations.
+//! map the per-node results back to item scores (negated walk value —
+//! smaller time/cost means more recommended). The three walks differ in
+//! only two ways, and a [`Walk`] names both: where the walk absorbs
+//! ([`Absorb`]: the query user for HT, §3.3; the user's rated items for AT
+//! and AC, §4.1) and what a hop costs (one step, or AC's user entropies,
+//! Eq. 9–11, through [`EntryCosts`]). Everything else is shared:
+//! [`Walk::score_into`] computes the reference scores and [`Walk::serve`]
+//! the fused top-k list, choosing the graph view in one place — the frozen
+//! base, a base + delta overlay, or either under recency decay. Each of
+//! those four view arms is one generic instantiation for all three
+//! families. A user outside the view is served as a user with no ratings:
+//! an empty list, all `-∞` scores, no rated items.
+//!
+//! All helpers write through caller-owned buffers (the
+//! [`crate::ScoringContext`]), so a steady-state scoring loop performs no
+//! `O(n_nodes)` allocations.
 //!
 //! [`run_truncated_walk`] is the one place the DP is launched. In
 //! [`WalkMode::Reference`] (the `score_into` contract) it always runs the
@@ -18,18 +31,230 @@
 //! request's extra exclusion set, so the probe certifies exactly the list
 //! the collector will serve.
 
-use crate::config::DpStopping;
+use crate::config::{DpStopping, GraphRecConfig, RecommendOptions};
+use crate::context::ScoringContext;
 use crate::topk::{outranks, ScoredItem, TopKCollector};
-use longtail_graph::{GraphView, SubgraphScratch};
+use longtail_graph::{
+    BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph, SubgraphScratch,
+};
 use longtail_markov::{
     truncated_costs_converge_into, truncated_costs_into, CostModel, DpBuffers, DpProbe, DpRun,
     SliceCost, UnitCost,
 };
+use std::time::Instant;
 
 /// Smallest τ budget for which the rank-stability probe is armed. Below
 /// this the handful of iterations a freeze could save is on the order of
 /// the probe's own cost, so only the (nearly free) convergence rule runs.
 const PROBE_MIN_BUDGET: usize = 32;
+
+/// Where a walk absorbs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Absorb {
+    /// At the query user's node (HT, §3.3).
+    User,
+    /// At the query user's rated items `S_q` (AT and AC, §4.1).
+    RatedItems,
+}
+
+/// AC's entropy-biased entry costs (Eq. 9): a hop costs what entering its
+/// target node costs.
+pub(crate) trait EntryCosts {
+    /// Cost of entering `user`. `overlay` is the undecayed base + delta
+    /// merge when a delta is served, so costs derived from the ratings see
+    /// the appended rows.
+    fn user_cost(&self, overlay: Option<&OverlayGraph<'_>>, user: u32) -> f64;
+
+    /// Cost of entering any item (the constant `C`).
+    fn item_cost(&self) -> f64;
+}
+
+/// One of the paper's walks over a model's training graph.
+pub(crate) struct Walk<'a> {
+    /// The training graph.
+    pub(crate) graph: &'a BipartiteGraph,
+    /// The BFS item budget μ and the DP's truncation depth τ.
+    pub(crate) config: GraphRecConfig,
+    /// Where the walk absorbs.
+    pub(crate) absorb: Absorb,
+    /// Per-node entry costs; `None` charges every hop one step (HT, AT).
+    pub(crate) costs: Option<&'a dyn EntryCosts>,
+}
+
+impl<'a> Walk<'a> {
+    /// The items `user` rated in the training graph; empty for a user
+    /// outside it.
+    pub(crate) fn rated_items(&self, user: u32) -> &'a [u32] {
+        let ratings = self.graph.user_items();
+        if (user as usize) < ratings.rows() {
+            ratings.row(user as usize).0
+        } else {
+            &[]
+        }
+    }
+
+    /// [`crate::Recommender::score_into`]: the exact fixed-τ walk over the
+    /// base graph.
+    pub(crate) fn score_into(&self, user: u32, ctx: &mut ScoringContext, out: &mut Vec<f64>) {
+        reset_scores(self.graph, out);
+        if self.run(self.graph, None, user, WalkMode::Reference, ctx) {
+            write_scores_from_scratch(self.graph, &ctx.subgraph, ctx.walk.values(), out);
+        }
+    }
+
+    /// The fused serving path: [`crate::Recommender::recommend_into`]
+    /// without a `delta`, [`crate::Recommender::recommend_delta_into`] with
+    /// one.
+    pub(crate) fn serve(
+        &self,
+        delta: Option<&EdgeDelta>,
+        user: u32,
+        k: usize,
+        opts: &RecommendOptions<'_>,
+        ctx: &mut ScoringContext,
+        out: &mut Vec<ScoredItem>,
+    ) {
+        // An empty delta serves the frozen base without overlay overhead.
+        let overlay = delta
+            .filter(|d| !d.is_empty())
+            .map(|d| OverlayGraph::new(self.graph, d));
+        // The exclusion set: the base rated row, or the merged base + delta
+        // row (AT/AC re-read the same set off the view as their absorbing
+        // set).
+        let mut merged = std::mem::take(&mut ctx.merged_rated);
+        let rated = match &overlay {
+            None => self.rated_items(user),
+            Some(o) => {
+                merged.clear();
+                if (user as usize) < o.n_users() {
+                    o.for_each_rated(user, |i, _| merged.push(i));
+                }
+                &merged[..]
+            }
+        };
+        // With an enabled re-rank policy the collector (and the
+        // rank-stability probe, via the mode's k) is armed for the top-M
+        // pool instead of k.
+        let fetch = opts.fetch(k);
+        ctx.topk.reset(fetch);
+        let mode = WalkMode::Serving {
+            k: fetch,
+            rated,
+            extra: opts.exclude.as_slice(),
+            rated_absorbing: self.absorb == Absorb::RatedItems,
+            stopping: opts.stopping,
+            deadline: opts.deadline,
+        };
+        let walked = match (&overlay, opts.recency) {
+            (None, None) => self.run(self.graph, None, user, mode, ctx),
+            (None, Some(decay)) => {
+                self.run(&Decayed::new(self.graph, decay), None, user, mode, ctx)
+            }
+            (Some(o), None) => self.run(o, Some(o), user, mode, ctx),
+            (Some(o), Some(decay)) => self.run(&Decayed::new(o, decay), Some(o), user, mode, ctx),
+        };
+        if walked {
+            // Fused: only subgraph-visited items can score, so collect them
+            // straight from the DP state — no global score vector, no full
+            // sort.
+            let n_users = overlay
+                .as_ref()
+                .map_or(self.graph.n_users(), |o| o.n_users());
+            collect_walk_topk(
+                n_users,
+                &ctx.subgraph,
+                &ctx.walk,
+                rated,
+                opts.exclude.as_slice(),
+                &mut ctx.topk,
+            );
+        }
+        ctx.merged_rated = merged;
+        ctx.topk.drain_sorted_into(out);
+        opts.finalize_topk(k, ctx, out);
+    }
+
+    /// Run the walk for `user` over `view`, leaving the per-node values in
+    /// `ctx.walk`. `overlay` is the undecayed merge behind `view` when a
+    /// delta is served (AC's entry costs read it). Returns `false` when
+    /// there is nothing to rank: no subgraph (see [`Walk::grow`]), or the
+    /// request's deadline cancelled the walk (the values then rank nothing
+    /// — see [`crate::RecommendOptions::deadline`]).
+    fn run<G: GraphView>(
+        &self,
+        view: &G,
+        overlay: Option<&OverlayGraph<'_>>,
+        user: u32,
+        mode: WalkMode<'_>,
+        ctx: &mut ScoringContext,
+    ) -> bool {
+        if !self.grow(view, user, ctx) {
+            return false;
+        }
+        let cost_model = match self.costs {
+            None => WalkCostModel::Unit,
+            Some(costs) => {
+                let n_users = view.n_users();
+                ctx.entry_costs.clear();
+                ctx.entry_costs
+                    .extend(ctx.subgraph.global_ids().iter().map(|&global| {
+                        if global < n_users {
+                            costs.user_cost(overlay, global as u32)
+                        } else {
+                            costs.item_cost()
+                        }
+                    }));
+                WalkCostModel::EntryCosts
+            }
+        };
+        let run = run_truncated_walk(view, cost_model, self.config.iterations, mode, ctx);
+        // A deadline-cancelled run ranks partially-iterated values: report
+        // it like an empty walk so no caller ever collects a garbage list
+        // (the telemetry records the cancellation).
+        !run.cancelled
+    }
+
+    /// Seed the context with the walk's absorbing nodes, grow the BFS
+    /// subgraph around them within μ and flag them absorbing. Returns
+    /// `false` when there is no walk: the user is outside `view`, rated
+    /// nothing (AT/AC have no absorbing set), or reaches nothing (HT).
+    fn grow<G: GraphView>(&self, view: &G, user: u32, ctx: &mut ScoringContext) -> bool {
+        if user as usize >= view.n_users() {
+            return false;
+        }
+        match self.absorb {
+            Absorb::User => {
+                ctx.seeds.clear();
+                ctx.seeds.push(view.user_node(user));
+            }
+            Absorb::RatedItems => rated_item_nodes_into(view, user, &mut ctx.seeds),
+        }
+        if ctx.seeds.is_empty() {
+            return false;
+        }
+        ctx.subgraph.grow(view, &ctx.seeds, self.config.max_items);
+        if self.absorb == Absorb::User && ctx.subgraph.n_nodes() == 1 {
+            return false;
+        }
+        ctx.absorbing.clear();
+        ctx.absorbing.resize(ctx.subgraph.n_nodes(), false);
+        for &s in &ctx.seeds {
+            // Seeds are always admitted by the BFS, budget notwithstanding.
+            let local = ctx.subgraph.local_id(s).expect("seed admitted");
+            ctx.absorbing[local as usize] = true;
+        }
+        true
+    }
+}
+
+/// Fill `seeds` with the query user's absorbing set `S_q`: the flat
+/// item-node ids of everything the user rated. Empty if the user rated
+/// nothing.
+pub(crate) fn rated_item_nodes_into<G: GraphView>(graph: &G, user: u32, seeds: &mut Vec<usize>) {
+    seeds.clear();
+    let n_users = graph.n_users();
+    graph.for_each_rated(user, |i, _| seeds.push(n_users + i as usize));
+}
 
 /// Which entry-cost model [`run_truncated_walk`] feeds the DP.
 pub(crate) enum WalkCostModel {
@@ -62,6 +287,10 @@ pub(crate) enum WalkMode<'a> {
         /// them with an `O(1)` absorbing-flag lookup instead of a binary
         /// search per candidate.
         rated_absorbing: bool,
+        /// The request's stopping policy.
+        stopping: DpStopping,
+        /// The request's cooperative deadline.
+        deadline: Option<Instant>,
     },
 }
 
@@ -105,48 +334,14 @@ const PROBE_EXTRAPOLATION_MARGIN: f64 = 4.0;
 /// The rank-stability callback handed to the DP, in option form.
 type RankProbe<'a> = Option<&'a mut dyn FnMut(&DpProbe<'_>) -> bool>;
 
-/// Fill `seeds` with the query user's absorbing set `S_q`: the flat
-/// item-node ids of everything the user rated. Empty if the user rated
-/// nothing.
-pub(crate) fn rated_item_nodes_into<G: GraphView>(graph: &G, user: u32, seeds: &mut Vec<usize>) {
-    seeds.clear();
-    let n_users = graph.n_users();
-    graph.for_each_rated(user, |i, _| seeds.push(n_users + i as usize));
-}
-
-/// Shared AT/AC query setup: seed the context with the user's rated item
-/// nodes, grow the BFS subgraph around them, and flag them absorbing.
-/// Returns `false` (leaving the context untouched beyond `seeds`) when the
-/// user rated nothing and therefore has no absorbing set.
-pub(crate) fn grow_absorbing_subgraph<G: GraphView>(
-    graph: &G,
-    user: u32,
-    max_items: usize,
-    ctx: &mut crate::ScoringContext,
-) -> bool {
-    rated_item_nodes_into(graph, user, &mut ctx.seeds);
-    if ctx.seeds.is_empty() {
-        return false;
-    }
-    ctx.subgraph.grow(graph, &ctx.seeds, max_items);
-    ctx.absorbing.clear();
-    ctx.absorbing.resize(ctx.subgraph.n_nodes(), false);
-    for &s in &ctx.seeds {
-        // Seeds are always admitted by the BFS, budget notwithstanding.
-        let local = ctx.subgraph.local_id(s).expect("seed admitted");
-        ctx.absorbing[local as usize] = true;
-    }
-    true
-}
-
 /// Launch the truncated DP over the context's prepared subgraph, absorbing
 /// flags and (for [`WalkCostModel::EntryCosts`]) entry-cost buffer, leaving
 /// the values in the context's [`DpBuffers`] and folding the run into the
-/// context's [`crate::DpTelemetry`]. `stopping` and `deadline` are the
-/// request's serving policy; they only apply in [`WalkMode::Serving`]
-/// ([`WalkMode::Reference`] always runs the exact fixed-τ program).
+/// context's [`crate::DpTelemetry`]. The request's stopping policy and
+/// deadline only apply in [`WalkMode::Serving`] ([`WalkMode::Reference`]
+/// always runs the exact fixed-τ program).
 ///
-/// A `deadline` arms cooperative cancellation: the DP consults the clock on
+/// A deadline arms cooperative cancellation: the DP consults the clock on
 /// its measured iterations (the stride-scheduled δ pass — the hot sweep
 /// stays branch-free) and aborts once the instant has passed, recording a
 /// `deadline_expired` run in the context's telemetry. The values left in
@@ -157,11 +352,9 @@ pub(crate) fn run_truncated_walk<G: GraphView>(
     cost_model: WalkCostModel,
     iterations: usize,
     mode: WalkMode<'_>,
-    stopping: DpStopping,
-    deadline: Option<std::time::Instant>,
-    ctx: &mut crate::ScoringContext,
+    ctx: &mut ScoringContext,
 ) -> DpRun {
-    let crate::ScoringContext {
+    let ScoringContext {
         subgraph,
         walk,
         absorbing,
@@ -180,51 +373,51 @@ pub(crate) fn run_truncated_walk<G: GraphView>(
         WalkCostModel::Unit => &UnitCost,
         WalkCostModel::EntryCosts => &slice_cost,
     };
-    // The deadline check the DP consults on measured iterations. Reference
-    // scoring never cancels (its contract is the exact fixed-τ program).
-    let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
-    let cancel: Option<&dyn Fn() -> bool> = if matches!(mode, WalkMode::Serving { .. }) {
-        deadline.is_some().then_some(&expired as &dyn Fn() -> bool)
-    } else {
-        None
-    };
-    let run = match (mode, stopping) {
-        (WalkMode::Reference, _) => {
+    let run = match mode {
+        // Reference scoring never cancels (its contract is the exact
+        // fixed-τ program), and neither does a Fixed request without a
+        // deadline.
+        WalkMode::Reference
+        | WalkMode::Serving {
+            stopping: DpStopping::Fixed,
+            deadline: None,
+            ..
+        } => {
             truncated_costs_into(subgraph.kernel(), absorbing, cost, iterations, walk);
             DpRun::fixed(iterations)
         }
-        (WalkMode::Serving { .. }, DpStopping::Fixed) => {
-            if cancel.is_none() {
-                truncated_costs_into(subgraph.kernel(), absorbing, cost, iterations, walk);
-                DpRun::fixed(iterations)
-            } else {
-                // A deadline-carrying Fixed request runs the adaptive form
-                // with the convergence rule restricted to exact fixed
-                // points (ε < 0) and no probe: the sweeps — and hence the
-                // values — are identical to the fixed program, the only
-                // extra exits being the bit-identical δ = 0 stop and the
-                // deadline itself.
-                truncated_costs_converge_into(
-                    subgraph.kernel(),
-                    absorbing,
-                    cost,
-                    iterations,
-                    -1.0,
-                    None,
-                    cancel,
-                    walk,
-                )
-            }
+        WalkMode::Serving {
+            stopping: DpStopping::Fixed,
+            deadline: Some(deadline),
+            ..
+        } => {
+            // A deadline-carrying Fixed request runs the adaptive form with
+            // the convergence rule restricted to exact fixed points (ε < 0)
+            // and no probe: the sweeps — and hence the values — are
+            // identical to the fixed program, the only extra exits being
+            // the bit-identical δ = 0 stop and the deadline itself.
+            truncated_costs_converge_into(
+                subgraph.kernel(),
+                absorbing,
+                cost,
+                iterations,
+                -1.0,
+                None,
+                Some(&|| Instant::now() >= deadline),
+                walk,
+            )
         }
-        (
-            WalkMode::Serving {
-                k,
-                rated,
-                extra,
-                rated_absorbing,
-            },
-            DpStopping::Adaptive { epsilon },
-        ) => {
+        WalkMode::Serving {
+            k,
+            rated,
+            extra,
+            rated_absorbing,
+            stopping: DpStopping::Adaptive { epsilon },
+            deadline,
+        } => {
+            // The deadline check the DP consults on measured iterations.
+            let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+            let cancel = deadline.is_some().then_some(&expired as &dyn Fn() -> bool);
             let target = ProbeTarget {
                 graph,
                 scratch: &*subgraph,
@@ -325,22 +518,21 @@ pub(crate) fn write_scores_from_scratch<G: GraphView>(
 /// Fused top-k extraction for the walk family: push every *subgraph-local*
 /// item's negated walk value straight from the DP state into `collector`,
 /// skipping the user's `rated` items, the request's `extra` exclusions and
-/// unreachable pockets.
+/// unreachable pockets. `n_users` is the walked view's user count.
 ///
 /// This is the step that lets HT/AT/AC serve a top-k query without touching
 /// the global catalog at all — only nodes the BFS actually visited are
 /// walked, and the scores pushed are bit-identical to what
 /// [`write_scores_from_scratch`] would have written (`-value` for finite
 /// values, nothing otherwise).
-pub(crate) fn collect_walk_topk<G: GraphView>(
-    graph: &G,
+pub(crate) fn collect_walk_topk(
+    n_users: usize,
     scratch: &SubgraphScratch,
     walk: &DpBuffers,
     rated: &[u32],
     extra: &[u32],
     collector: &mut TopKCollector,
 ) {
-    let n_users = graph.n_users();
     for (local, &global) in scratch.global_ids().iter().enumerate() {
         if global >= n_users {
             let item = (global - n_users) as u32;
@@ -492,8 +684,6 @@ pub(crate) fn rank_frozen<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScoringContext;
-    use longtail_graph::BipartiteGraph;
 
     fn graph() -> BipartiteGraph {
         BipartiteGraph::from_ratings(2, 3, &[(0, 0, 5.0), (0, 1, 4.0), (1, 1, 3.0), (1, 2, 5.0)])
@@ -538,11 +728,24 @@ mod tests {
         assert_eq!(scores[2], f64::NEG_INFINITY);
     }
 
+    /// The AT walk over `g`, with an unbounded μ.
+    fn absorbing_walk(g: &BipartiteGraph) -> Walk<'_> {
+        Walk {
+            graph: g,
+            config: GraphRecConfig {
+                max_items: usize::MAX,
+                iterations: 15,
+            },
+            absorb: Absorb::RatedItems,
+            costs: None,
+        }
+    }
+
     #[test]
     fn grow_absorbing_flags_exactly_the_rated_set() {
         let g = graph();
         let mut ctx = ScoringContext::new();
-        assert!(grow_absorbing_subgraph(&g, 0, usize::MAX, &mut ctx));
+        assert!(absorbing_walk(&g).grow(&g, 0, &mut ctx));
         for node in 0..ctx.subgraph.n_nodes() {
             let global = ctx.subgraph.global_ids()[node];
             let expected = global == g.item_node(0) || global == g.item_node(1);
@@ -554,7 +757,9 @@ mod tests {
     fn grow_absorbing_rejects_unrated_users() {
         let g = BipartiteGraph::from_ratings(2, 2, &[(0, 0, 5.0)]);
         let mut ctx = ScoringContext::new();
-        assert!(!grow_absorbing_subgraph(&g, 1, usize::MAX, &mut ctx));
+        assert!(!absorbing_walk(&g).grow(&g, 1, &mut ctx));
+        // A user outside the graph has no ratings either.
+        assert!(!absorbing_walk(&g).grow(&g, 9, &mut ctx));
     }
 
     /// A graph with 4 items all reachable from user 0's neighborhood, and a

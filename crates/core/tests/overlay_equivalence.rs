@@ -7,12 +7,18 @@
 //! exact in any association order), so the per-query kernels are
 //! bit-identical and the comparison below can demand equal scores, not
 //! just equal ranks.
+//!
+//! Recency decay is pinned the same way: over timestamped ratings, decayed
+//! overlay serving equals the decayed union rebuild (the overlay keeps a
+//! merged edge's latest timestamp, as the rebuild does), and decayed base
+//! serving equals a model rebuilt on the decayed weights themselves.
 
 use longtail_core::{
     AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, DpStopping, EdgeDelta,
-    GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender, ScoringContext,
+    GraphRecConfig, HittingTimeRecommender, RecencyDecay, RecommendOptions, Recommender,
+    ScoredItem, ScoringContext,
 };
-use longtail_data::{Dataset, Rating};
+use longtail_data::{Dataset, Rating, TimedRating};
 use longtail_topics::{LdaConfig, LdaModel};
 use proptest::prelude::*;
 
@@ -42,6 +48,32 @@ fn delta_ratings() -> impl Strategy<Value = Vec<Rating>> {
         }),
         0..15,
     )
+}
+
+/// Timestamped integer-star ratings over a 1000-second span, so the decay
+/// below weighs them by factors from 1/16 to 1.
+fn timed_ratings(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TimedRating>> {
+    prop::collection::vec(
+        (0..N_USERS as u32, 0..N_ITEMS as u32, 1..6i32, 0..1000i32).prop_map(
+            |(user, item, v, t)| TimedRating {
+                user,
+                item,
+                value: v as f64,
+                timestamp: t as f64,
+            },
+        ),
+        len,
+    )
+}
+
+/// A 250-second half-life measured at t = 1000.
+fn decay() -> RecencyDecay {
+    RecencyDecay::new(250.0, 1000.0)
+}
+
+/// Request options with `stopping`, under [`decay`].
+fn decayed(stopping: DpStopping) -> RecommendOptions<'static> {
+    RecommendOptions::with_stopping(stopping).with_recency(decay())
 }
 
 fn build_delta(appends: &[Rating], n_users: usize, n_items: usize) -> EdgeDelta {
@@ -104,8 +136,119 @@ fn check_overlay_matches_rebuild(
     Ok(())
 }
 
+/// `got` and `want` serve every user the same list — items, ranks and
+/// score bits — under both stopping policies. Each closure fills the list
+/// for a user and a stopping policy.
+fn check_same_lists(
+    name: &str,
+    mut got: impl FnMut(u32, DpStopping, &mut Vec<ScoredItem>),
+    mut want: impl FnMut(u32, DpStopping, &mut Vec<ScoredItem>),
+) -> Result<(), TestCaseError> {
+    let bits = |list: &[ScoredItem]| -> Vec<(u32, u64)> {
+        list.iter().map(|s| (s.item, s.score.to_bits())).collect()
+    };
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for stopping in [DpStopping::Fixed, DpStopping::default()] {
+        for u in 0..N_USERS as u32 {
+            got(u, stopping, &mut a);
+            want(u, stopping, &mut b);
+            prop_assert_eq!(bits(&a), bits(&b), "{} user {} ({:?})", name, u, stopping);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn decayed_overlay_equals_decayed_rebuild(
+        base in timed_ratings(1..40),
+        appends in timed_ratings(0..15),
+    ) {
+        let base_data = Dataset::from_timed_ratings(N_USERS, N_ITEMS, &base);
+        let union_data = Dataset::from_timed_ratings(N_USERS, N_ITEMS, &[base, appends.clone()].concat());
+        let mut delta = EdgeDelta::new(N_USERS, N_ITEMS);
+        for r in &appends {
+            delta.insert(r.user, r.item, r.value, r.timestamp);
+        }
+        let empty = EdgeDelta::new(N_USERS, N_ITEMS);
+        let cfg = GraphRecConfig::default();
+        let acfg = AbsorbingCostConfig::default();
+        // AC2 shares the base LDA model with its rebuild, as above.
+        let model = LdaModel::train(base_data.user_items(), &LdaConfig::with_topics(2));
+        let pairs: [(Box<dyn Recommender>, Box<dyn Recommender>); 4] = [
+            (
+                Box::new(HittingTimeRecommender::new(&base_data, cfg)),
+                Box::new(HittingTimeRecommender::new(&union_data, cfg)),
+            ),
+            (
+                Box::new(AbsorbingTimeRecommender::new(&base_data, cfg)),
+                Box::new(AbsorbingTimeRecommender::new(&union_data, cfg)),
+            ),
+            (
+                Box::new(AbsorbingCostRecommender::item_entropy(&base_data, acfg)),
+                Box::new(AbsorbingCostRecommender::item_entropy(&union_data, acfg)),
+            ),
+            (
+                Box::new(AbsorbingCostRecommender::topic_entropy(&base_data, &model, acfg)),
+                Box::new(AbsorbingCostRecommender::topic_entropy(&union_data, &model, acfg)),
+            ),
+        ];
+        let (mut ctx_a, mut ctx_b) = (ScoringContext::new(), ScoringContext::new());
+        for (overlay_rec, rebuilt) in &pairs {
+            check_same_lists(
+                rebuilt.name(),
+                |u, s, out| overlay_rec.recommend_delta_into(&delta, u, 5, &decayed(s), &mut ctx_a, out),
+                |u, s, out| rebuilt.recommend_into(u, 5, &decayed(s), &mut ctx_b, out),
+            )?;
+            check_same_lists(
+                overlay_rec.name(),
+                |u, s, out| overlay_rec.recommend_delta_into(&empty, u, 5, &decayed(s), &mut ctx_a, out),
+                |u, s, out| overlay_rec.recommend_into(u, 5, &decayed(s), &mut ctx_b, out),
+            )?;
+        }
+    }
+
+    #[test]
+    fn decayed_serving_equals_rebuild_on_decayed_weights(rs in timed_ratings(1..40)) {
+        // Decay must really reach the walk: serving the timestamped model
+        // under decay equals an undecayed model whose stored weights are
+        // already `w · factor(t)` (one merged rating per pair, so the
+        // products are the same bits).
+        let d = Dataset::from_timed_ratings(N_USERS, N_ITEMS, &rs);
+        let scaled: Vec<Rating> = d
+            .to_timed_ratings()
+            .iter()
+            .map(|r| Rating {
+                user: r.user,
+                item: r.item,
+                value: r.value * decay().factor(r.timestamp),
+            })
+            .collect();
+        let scaled_data = Dataset::from_ratings(N_USERS, N_ITEMS, &scaled);
+        let cfg = GraphRecConfig::default();
+        let pairs: [(Box<dyn Recommender>, Box<dyn Recommender>); 2] = [
+            (
+                Box::new(HittingTimeRecommender::new(&d, cfg)),
+                Box::new(HittingTimeRecommender::new(&scaled_data, cfg)),
+            ),
+            (
+                Box::new(AbsorbingTimeRecommender::new(&d, cfg)),
+                Box::new(AbsorbingTimeRecommender::new(&scaled_data, cfg)),
+            ),
+        ];
+        let (mut ctx_a, mut ctx_b) = (ScoringContext::new(), ScoringContext::new());
+        for (rec, rebuilt) in &pairs {
+            check_same_lists(
+                rec.name(),
+                |u, s, out| rec.recommend_into(u, 5, &decayed(s), &mut ctx_a, out),
+                |u, s, out| {
+                    rebuilt.recommend_into(u, 5, &RecommendOptions::with_stopping(s), &mut ctx_b, out)
+                },
+            )?;
+        }
+    }
 
     #[test]
     fn hitting_time_overlay_equals_rebuild(base in base_ratings(), appends in delta_ratings()) {

@@ -550,11 +550,13 @@ impl EngineCore {
         let mut ctx = self.contexts.checkout();
         let before = ctx.dp_telemetry();
         let mut items = Vec::new();
-        // A panicking query (e.g. an out-of-range user id) must not take a
-        // long-lived pool worker — or a whole batch — down with it: catch
-        // it and fail only this attempt. The context is NOT checked back in
-        // on panic (its buffers may be mid-update); dropping it costs one
-        // warm context, nothing else. The shared state touched below the
+        // A panicking query (a faulty model, or a non-walk family asked for
+        // a user id outside its training data — the walk families serve
+        // such a user an empty list) must not take a long-lived pool
+        // worker — or a whole batch — down with it: catch it and fail only
+        // this attempt. The context is NOT checked back in on panic (its
+        // buffers may be mid-update); dropping it costs one warm context,
+        // nothing else. The shared state touched below the
         // catch (pool, aggregate) is only ever locked around non-panicking
         // code, so observing it after an unwind is sound.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -19,8 +19,8 @@
 //! pins so the suite stays bounded.
 
 use longtail_core::{
-    DpStopping, ExclusionSet, GraphRecConfig, HittingTimeRecommender, RecommendOptions, ScoredItem,
-    ScoringContext,
+    DpStopping, ExclusionSet, GraphRecConfig, HittingTimeRecommender, RecommendOptions,
+    Recommender, ScoredItem, ScoringContext,
 };
 use longtail_data::{Dataset, Rating};
 use longtail_serve::{
@@ -284,6 +284,40 @@ fn unknown_model_is_an_error_not_a_panic() {
     assert_eq!(engine.models(), vec!["HT"]);
 }
 
+/// HT that panics when asked to serve user 99: a model failing on one
+/// request.
+struct PanicsOnUser99(HittingTimeRecommender);
+
+impl Recommender for PanicsOnUser99 {
+    fn name(&self) -> &'static str {
+        "HT"
+    }
+
+    fn score_into(&self, user: u32, ctx: &mut ScoringContext, out: &mut Vec<f64>) {
+        self.0.score_into(user, ctx, out);
+    }
+
+    fn recommend_into(
+        &self,
+        user: u32,
+        k: usize,
+        opts: &RecommendOptions<'_>,
+        ctx: &mut ScoringContext,
+        out: &mut Vec<ScoredItem>,
+    ) {
+        assert_ne!(user, 99, "injected failure for user 99");
+        self.0.recommend_into(user, k, opts, ctx, out);
+    }
+
+    fn rated_items(&self, user: u32) -> &[u32] {
+        self.0.rated_items(user)
+    }
+
+    fn n_items(&self) -> usize {
+        self.0.n_items()
+    }
+}
+
 #[test]
 fn panicking_request_fails_alone_without_killing_the_engine() {
     let d = Dataset::from_ratings(
@@ -305,13 +339,16 @@ fn panicking_request_fails_alone_without_killing_the_engine() {
     let engine = Engine::builder()
         .model(
             "HT",
-            Arc::new(HittingTimeRecommender::new(&d, GraphRecConfig::default())),
+            Arc::new(PanicsOnUser99(HittingTimeRecommender::new(
+                &d,
+                GraphRecConfig::default(),
+            ))),
         )
         .workers(2)
         .build();
-    // User 99 is outside the training data: the query panics inside the
-    // recommender. The batch must fail only that slot, and the pool's
-    // workers must survive to serve later traffic.
+    // User 99's query panics inside the recommender. The batch must fail
+    // only that slot, and the pool's workers must survive to serve later
+    // traffic.
     let results = engine.recommend_batch(vec![
         RecommendRequest::new("HT", 0, 2),
         RecommendRequest::new("HT", 99, 2),
