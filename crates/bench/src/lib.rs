@@ -1,11 +1,14 @@
 //! Shared harness for the experiment binaries and Criterion benches.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the index). This library holds what they share:
-//! dataset presets, the algorithm roster, and paper reference values for
-//! side-by-side printing.
+//! Most binaries in `src/bin/` regenerate one table or figure of the paper
+//! (`run_all` runs them all); `bench_walk_scoring` writes the walk-scoring
+//! perf summary. This library holds what they share: dataset presets, the
+//! algorithm roster, paper reference values for side-by-side printing, and
+//! the [`json::Json`] value the perf summary is written and checked with.
 
 #![warn(missing_docs)]
+
+pub mod json;
 
 use longtail_core::{
     AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,
@@ -49,12 +52,20 @@ impl Corpus {
 }
 
 /// The experiment-wide scale factor from `LONGTAIL_SCALE` (default 1.0).
+///
+/// # Panics
+///
+/// Panics if the variable is set to anything but a finite positive number.
 pub fn scale_factor() -> f64 {
-    std::env::var("LONGTAIL_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&f| f > 0.0)
-        .unwrap_or(1.0)
+    parse_scale(std::env::var_os("LONGTAIL_SCALE").map(|v| v.to_string_lossy().into_owned()))
+}
+
+fn parse_scale(value: Option<String>) -> f64 {
+    let Some(value) = value else { return 1.0 };
+    match value.parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => f,
+        _ => panic!("LONGTAIL_SCALE must be a finite positive number, got {value:?}"),
+    }
 }
 
 /// The full algorithm roster of §5.1.1, trained on one training set.
@@ -237,6 +248,22 @@ mod tests {
         let db = Corpus::Douban.config();
         assert!(db.n_items > ml.n_items);
         assert!(db.min_activity < ml.min_activity);
+    }
+
+    #[test]
+    fn scale_is_one_when_unset_and_panics_unless_finite_and_positive() {
+        assert_eq!(parse_scale(None), 1.0);
+        assert_eq!(parse_scale(Some("0.3".into())), 0.3);
+        for bad in ["0,15", "0", "-1", "inf", "NaN"] {
+            let panic = std::panic::catch_unwind(|| parse_scale(Some(bad.into())))
+                .expect_err(bad)
+                .downcast::<String>()
+                .expect("formatted panic message");
+            assert!(
+                panic.contains("LONGTAIL_SCALE") && panic.contains(&format!("{bad:?}")),
+                "{panic}"
+            );
+        }
     }
 
     #[test]

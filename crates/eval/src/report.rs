@@ -1,13 +1,10 @@
 //! Experiment result containers and table rendering.
 //!
 //! The bench binaries print the same rows and series the paper reports;
-//! these helpers keep that output consistent and serializable (JSON via
-//! serde) so `EXPERIMENTS.md` can be regenerated mechanically.
-
-use serde::{Deserialize, Serialize};
+//! these helpers hold that output and render it as Markdown.
 
 /// A named series of `(x, y)` points — one line of Figure 5 or Figure 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Algorithm / configuration label.
     pub label: String,
@@ -18,7 +15,7 @@ pub struct Series {
 }
 
 /// A labelled table — one paper table (rows = algorithms).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table caption.
     pub title: String,
@@ -145,14 +142,5 @@ mod tests {
     fn numbers_format_compactly() {
         assert_eq!(format_num(3.0), "3");
         assert_eq!(format_num(0.12345), "0.1235");
-    }
-
-    #[test]
-    fn report_types_are_serializable() {
-        // Compile-time check that the serde derives are in place
-        // (serde_json is not available offline, so no round-trip here).
-        fn assert_serializable<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serializable::<Table>();
-        assert_serializable::<Series>();
     }
 }
