@@ -1,7 +1,7 @@
 //! Criterion bench: the truncated-vs-exact absorbing time ablation.
 //!
-//! DESIGN.md ablation #1 — the truncated dynamic program (Algorithm 1) vs
-//! the exact LU solve, and the cost of each extra iteration τ.
+//! The truncation ablation — the truncated dynamic program (Algorithm 1)
+//! vs the exact LU solve, and the cost of each extra iteration τ.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use longtail_data::{SyntheticConfig, SyntheticData};

@@ -1,5 +1,5 @@
-//! Ablations for the design choices DESIGN.md §5 calls out (beyond the
-//! truncation and µ ablations, which have their own targets):
+//! Ablations of four parameters the paper fixes without sweeping them
+//! (beyond the truncation and µ ablations, which have their own targets):
 //!
 //! 1. **Cost constant C** (Eq. 9) — sensitivity of AC1's quality to the
 //!    user→item entry cost;

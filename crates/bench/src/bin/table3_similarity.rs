@@ -3,7 +3,7 @@
 //! §5.2.4: long-tail reach is worthless if the picks are off-taste. Every
 //! recommended item is scored by its best category-path similarity to the
 //! user's rated set over the (synthetic) book ontology; the paper's Dangdang
-//! tree is replaced by a genre-aligned depth-4 tree (see DESIGN.md).
+//! tree is replaced by a genre-aligned depth-4 tree (`Ontology`).
 
 use longtail_bench::{emit, paper, start_experiment, Corpus, Roster, RosterConfig};
 use longtail_data::Ontology;

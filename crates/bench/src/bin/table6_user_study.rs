@@ -2,9 +2,10 @@
 //!
 //! §5.2.7 hires 50 movie-lovers; here 50 simulated judges with ground-truth
 //! tastes from the generator rate each algorithm's top-10 on Preference,
-//! Novelty, Serendipity and overall Score (substitution documented in
-//! DESIGN.md). The paper's pattern: AC2 wins Novelty/Serendipity/Score;
-//! PureSVD edges out raw Preference but its picks are already known.
+//! Novelty, Serendipity and overall Score (the simulation is described in
+//! `longtail_eval::user_study`). The paper's pattern: AC2 wins
+//! Novelty/Serendipity/Score; PureSVD edges out raw Preference but its
+//! picks are already known.
 
 use longtail_bench::{emit, paper, start_experiment, Corpus, Roster, RosterConfig};
 use longtail_core::Recommender;

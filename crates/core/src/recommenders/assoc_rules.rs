@@ -7,6 +7,7 @@
 //! thresholds and exists to demonstrate exactly that bias against the
 //! walk-based methods.
 
+use crate::recommenders::rated_row;
 use crate::{RecommendOptions, Recommender, ScoredItem, ScoringContext};
 use longtail_data::Dataset;
 use longtail_graph::CsrMatrix;
@@ -123,7 +124,7 @@ impl Recommender for AssociationRuleRecommender {
         // are unreachable, not zero-scored ties.
         out.clear();
         out.resize(self.user_items.cols(), f64::NEG_INFINITY);
-        for &a in self.user_items.row(user as usize).0 {
+        for &a in self.rated_items(user) {
             for &(b, conf) in &self.rules[a as usize] {
                 let slot = &mut out[b as usize];
                 if conf > *slot {
@@ -153,7 +154,7 @@ impl Recommender for AssociationRuleRecommender {
             ctx.accum.resize(n_items, f64::NEG_INFINITY);
         }
         ctx.touched.clear();
-        for &a in self.user_items.row(user as usize).0 {
+        for &a in self.rated_items(user) {
             for &(b, conf) in &self.rules[a as usize] {
                 let slot = &mut ctx.accum[b as usize];
                 if conf > *slot {
@@ -177,7 +178,7 @@ impl Recommender for AssociationRuleRecommender {
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.user_items.row(user as usize).0
+        rated_row(&self.user_items, user)
     }
 
     fn n_items(&self) -> usize {

@@ -7,6 +7,7 @@
 //! here: on the Figure 2 example it recommends the *locally popular* M1 to
 //! U5 where the walk methods surface the niche M4.
 
+use crate::recommenders::rated_row;
 use crate::{RecommendOptions, Recommender, ScoredItem, ScoringContext};
 use longtail_data::Dataset;
 use longtail_graph::CsrMatrix;
@@ -89,9 +90,10 @@ impl KnnRecommender {
         }
     }
 
-    /// The neighbor list of `user` as `(user, similarity)` pairs.
+    /// The neighbor list of `user` as `(user, similarity)` pairs; empty for
+    /// a user outside the training data.
     pub fn neighbors_of(&self, user: u32) -> &[(u32, f64)] {
-        &self.neighbors[user as usize]
+        self.neighbors.get(user as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Training matrix (the snapshot save path persists it).
@@ -175,7 +177,7 @@ impl Recommender for KnnRecommender {
         // recommended.
         out.clear();
         out.resize(self.user_items.cols(), f64::NEG_INFINITY);
-        for &(v, sim) in &self.neighbors[user as usize] {
+        for &(v, sim) in self.neighbors_of(user) {
             for (i, r) in self.user_items.iter_row(v as usize) {
                 let slot = &mut out[i as usize];
                 if slot.is_finite() {
@@ -207,7 +209,7 @@ impl Recommender for KnnRecommender {
             ctx.accum.resize(n_items, f64::NEG_INFINITY);
         }
         ctx.touched.clear();
-        for &(v, sim) in &self.neighbors[user as usize] {
+        for &(v, sim) in self.neighbors_of(user) {
             for (i, r) in self.user_items.iter_row(v as usize) {
                 let slot = &mut ctx.accum[i as usize];
                 if slot.is_finite() {
@@ -231,7 +233,7 @@ impl Recommender for KnnRecommender {
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.user_items.row(user as usize).0
+        rated_row(&self.user_items, user)
     }
 
     fn n_items(&self) -> usize {

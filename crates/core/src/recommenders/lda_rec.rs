@@ -5,6 +5,7 @@
 //! by each topic's most-rated items, so its suggestions concentrate on the
 //! short head — the behaviour Figure 6 and Table 2 document.
 
+use crate::recommenders::rated_row;
 use crate::Recommender;
 use longtail_data::Dataset;
 use longtail_graph::CsrMatrix;
@@ -65,7 +66,13 @@ impl Recommender for LdaRecommender {
     }
 
     fn score_into(&self, user: u32, _ctx: &mut crate::ScoringContext, out: &mut Vec<f64>) {
-        self.model.score_all_into(user, out);
+        if (user as usize) < self.user_items.rows() {
+            self.model.score_all_into(user, out);
+        } else {
+            // A user outside the model has no topic mixture.
+            out.clear();
+            out.resize(self.user_items.cols(), f64::NEG_INFINITY);
+        }
     }
 
     // `recommend_into` deliberately keeps the default implementation: the
@@ -77,7 +84,7 @@ impl Recommender for LdaRecommender {
     // than the "full vector" it avoids.
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.user_items.row(user as usize).0
+        rated_row(&self.user_items, user)
     }
 
     fn n_items(&self) -> usize {

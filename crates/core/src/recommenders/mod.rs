@@ -20,3 +20,16 @@ pub use lda_rec::LdaRecommender;
 pub use pagerank_rec::{PageRankFlavor, PageRankRecommender};
 pub use popularity::PopularityRecommender;
 pub use pure_svd::PureSvdRecommender;
+
+use longtail_graph::CsrMatrix;
+
+/// The items `user` rated in the training matrix `user_items`; empty for a
+/// user outside it. Every family serves such a user as a user with no
+/// ratings: an empty list, all `-∞` scores and no rated items.
+pub(crate) fn rated_row(user_items: &CsrMatrix, user: u32) -> &[u32] {
+    if (user as usize) < user_items.rows() {
+        user_items.row(user as usize).0
+    } else {
+        &[]
+    }
+}

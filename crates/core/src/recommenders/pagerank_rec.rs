@@ -8,6 +8,7 @@
 //! Similarity, the contrast the evaluation leans on.
 
 use crate::context::ScoringContext;
+use crate::recommenders::rated_row;
 use crate::walk_common::rated_item_nodes_into;
 use crate::{RecommendOptions, Recommender, ScoredItem};
 use longtail_data::Dataset;
@@ -157,7 +158,7 @@ impl Recommender for PageRankRecommender {
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.graph.user_items().row(user as usize).0
+        rated_row(self.graph.user_items(), user)
     }
 
     fn n_items(&self) -> usize {

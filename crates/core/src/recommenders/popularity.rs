@@ -10,6 +10,7 @@
 //! model's circuit breaker is open or its retries are exhausted, serving
 //! the popularity head (flagged degraded) is the availability floor.
 
+use crate::recommenders::rated_row;
 use crate::{RecommendOptions, Recommender, ScoredItem, ScoringContext};
 use longtail_data::Dataset;
 use longtail_graph::CsrMatrix;
@@ -53,6 +54,12 @@ impl PopularityRecommender {
     pub fn popularity_of(&self, item: u32) -> u32 {
         self.counts[item as usize]
     }
+
+    /// Whether `user` is in the training data; a user outside it is
+    /// recommended nothing.
+    fn knows(&self, user: u32) -> bool {
+        (user as usize) < self.user_items.rows()
+    }
 }
 
 impl Recommender for PopularityRecommender {
@@ -60,14 +67,18 @@ impl Recommender for PopularityRecommender {
         "POP"
     }
 
-    fn score_into(&self, _user: u32, _ctx: &mut ScoringContext, out: &mut Vec<f64>) {
-        // User-independent: the same popularity vector answers everyone.
+    fn score_into(&self, user: u32, _ctx: &mut ScoringContext, out: &mut Vec<f64>) {
+        // User-independent: the same popularity vector answers every user
+        // in the training data.
+        let known = self.knows(user);
         out.clear();
-        out.extend(
-            self.counts
-                .iter()
-                .map(|&c| if c > 0 { c as f64 } else { f64::NEG_INFINITY }),
-        );
+        out.extend(self.counts.iter().map(|&c| {
+            if known && c > 0 {
+                c as f64
+            } else {
+                f64::NEG_INFINITY
+            }
+        }));
     }
 
     fn recommend_into(
@@ -83,7 +94,12 @@ impl Recommender for PopularityRecommender {
         // it is weaker under the same order, so the early exit is exact.
         ctx.topk.reset(opts.fetch(k));
         let rated = self.rated_items(user);
-        for &i in &self.by_popularity {
+        let candidates = if self.knows(user) {
+            &self.by_popularity[..]
+        } else {
+            &[]
+        };
+        for &i in candidates {
             let score = self.counts[i as usize] as f64;
             if !ctx.topk.would_accept(i, score) {
                 break;
@@ -97,7 +113,7 @@ impl Recommender for PopularityRecommender {
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.user_items.row(user as usize).0
+        rated_row(&self.user_items, user)
     }
 
     fn n_items(&self) -> usize {

@@ -7,6 +7,7 @@
 //! item factors. Zero-filling bakes popularity into the factors, which is
 //! exactly why its recommendations concentrate on the short head (Figure 6).
 
+use crate::recommenders::rated_row;
 use crate::{RecommendOptions, Recommender, ScoredItem, ScoringContext};
 use longtail_data::Dataset;
 use longtail_graph::CsrMatrix;
@@ -103,6 +104,12 @@ impl PureSvdRecommender {
         &self.item_factors[i * self.rank..(i + 1) * self.rank]
     }
 
+    /// Whether `user` is in the training data; a user outside it is
+    /// recommended nothing.
+    fn knows(&self, user: u32) -> bool {
+        (user as usize) < self.user_items.rows()
+    }
+
     /// Project `user`'s sparse rating row onto the factor space (the
     /// length-f vector `r_u Q`), writing into `projection`.
     fn project_user(&self, user: u32, projection: &mut Vec<f64>) {
@@ -123,12 +130,16 @@ impl Recommender for PureSvdRecommender {
     }
 
     fn score_into(&self, user: u32, ctx: &mut crate::ScoringContext, out: &mut Vec<f64>) {
+        let n_items = self.user_items.cols();
+        out.clear();
+        if !self.knows(user) {
+            out.resize(n_items, f64::NEG_INFINITY);
+            return;
+        }
         // r̂_u = r_u Q Qᵀ: project the sparse rating row onto the factor
         // space (length-f vector), then expand back over the catalog.
         self.project_user(user, &mut ctx.scratch);
         let projection = &ctx.scratch;
-        let n_items = self.user_items.cols();
-        out.clear();
         out.extend((0..n_items).map(|i| {
             self.factors_of(i)
                 .iter()
@@ -151,27 +162,29 @@ impl Recommender for PureSvdRecommender {
         // vector is never materialized. The dot is the same expression as
         // `score_into`, so scores are bit-identical.
         ctx.topk.reset(opts.fetch(k));
-        self.project_user(user, &mut ctx.scratch);
-        let projection = &ctx.scratch;
-        let rated = self.rated_items(user);
-        for i in 0..self.user_items.cols() {
-            if rated.binary_search(&(i as u32)).is_ok() || opts.is_excluded(i as u32) {
-                continue;
+        if self.knows(user) {
+            self.project_user(user, &mut ctx.scratch);
+            let projection = &ctx.scratch;
+            let rated = self.rated_items(user);
+            for i in 0..self.user_items.cols() {
+                if rated.binary_search(&(i as u32)).is_ok() || opts.is_excluded(i as u32) {
+                    continue;
+                }
+                let score = self
+                    .factors_of(i)
+                    .iter()
+                    .zip(projection.iter())
+                    .map(|(&q, &p)| q * p)
+                    .sum::<f64>();
+                ctx.topk.push(i as u32, score);
             }
-            let score = self
-                .factors_of(i)
-                .iter()
-                .zip(projection.iter())
-                .map(|(&q, &p)| q * p)
-                .sum::<f64>();
-            ctx.topk.push(i as u32, score);
         }
         ctx.topk.drain_sorted_into(out);
         opts.finalize_topk(k, ctx, out);
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {
-        self.user_items.row(user as usize).0
+        rated_row(&self.user_items, user)
     }
 
     fn n_items(&self) -> usize {

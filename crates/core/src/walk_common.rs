@@ -33,6 +33,7 @@
 
 use crate::config::{DpStopping, GraphRecConfig, RecommendOptions};
 use crate::context::ScoringContext;
+use crate::recommenders::rated_row;
 use crate::topk::{outranks, ScoredItem, TopKCollector};
 use longtail_graph::{
     BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph, SubgraphScratch,
@@ -85,12 +86,7 @@ impl<'a> Walk<'a> {
     /// The items `user` rated in the training graph; empty for a user
     /// outside it.
     pub(crate) fn rated_items(&self, user: u32) -> &'a [u32] {
-        let ratings = self.graph.user_items();
-        if (user as usize) < ratings.rows() {
-            ratings.row(user as usize).0
-        } else {
-            &[]
-        }
+        rated_row(self.graph.user_items(), user)
     }
 
     /// [`crate::Recommender::score_into`]: the exact fixed-τ walk over the
@@ -249,11 +245,13 @@ impl<'a> Walk<'a> {
 
 /// Fill `seeds` with the query user's absorbing set `S_q`: the flat
 /// item-node ids of everything the user rated. Empty if the user rated
-/// nothing.
+/// nothing or is outside `graph`.
 pub(crate) fn rated_item_nodes_into<G: GraphView>(graph: &G, user: u32, seeds: &mut Vec<usize>) {
     seeds.clear();
     let n_users = graph.n_users();
-    graph.for_each_rated(user, |i, _| seeds.push(n_users + i as usize));
+    if (user as usize) < n_users {
+        graph.for_each_rated(user, |i, _| seeds.push(n_users + i as usize));
+    }
 }
 
 /// Which entry-cost model [`run_truncated_walk`] feeds the DP.

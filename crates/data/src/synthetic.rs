@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on MovieLens-1M and a private Douban crawl; neither
 //! ships with this repository, so this module generates datasets that
-//! reproduce the structural properties the algorithms are sensitive to
-//! (documented as a substitution in `DESIGN.md`):
+//! stand in for them by reproducing the structural properties the
+//! algorithms are sensitive to:
 //!
 //! * **power-law item popularity** — a Zipf profile per genre, so that the
 //!   lowest-popularity ~2/3 of the catalog carries ~20 % of ratings, the

@@ -12,8 +12,8 @@
 //!   coverage, Gini exposure concentration, novelty, and list-based recall
 //!   split by head/tail ground truth (the lens for re-rank policies);
 //! * [`timing`] — online per-query latency (Table 5);
-//! * [`user_study`] — the simulated 50-judge study (Table 6; substitution
-//!   documented in `DESIGN.md`);
+//! * [`user_study`] — the simulated 50-judge study (Table 6), standing in
+//!   for the paper's human judges;
 //! * [`report`] — result containers and Markdown rendering shared by the
 //!   experiment binaries.
 

@@ -3,7 +3,7 @@
 //! The paper hires 50 movie-lovers who rate each recommendation on
 //! Preference, Novelty, Serendipity and an overall Score. Human judges are
 //! unavailable here, so the study is simulated against the synthetic
-//! generator's ground truth — a substitution documented in `DESIGN.md`:
+//! generator's ground truth instead:
 //!
 //! * **Preference (1–5)** — how well the item's genre matches the judge's
 //!   latent taste vector (the quantity human judges report when asked "does

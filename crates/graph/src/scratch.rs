@@ -15,7 +15,9 @@
 //! Kernel rows keep the *global* neighbor order of the bipartite CSR
 //! instead of re-sorting by local id (the dynamic programs are
 //! order-independent; only the last-ulp floating-point rounding of row sums
-//! can differ from the owned-`Subgraph` path).
+//! can differ from the owned-`Subgraph` path). The kernel is tagged with
+//! each local node's side ([`TransitionMatrix::sides`]), recorded as the
+//! BFS admits it.
 
 use crate::transition::TransitionMatrix;
 use crate::view::GraphView;
@@ -42,7 +44,6 @@ pub struct SubgraphScratch {
     epoch: u64,
     marks: Vec<Mark>,
     global_of_local: Vec<usize>,
-    n_local_items: usize,
     queue: VecDeque<usize>,
     kernel: TransitionMatrix,
 }
@@ -54,7 +55,6 @@ impl SubgraphScratch {
             epoch: 0,
             marks: Vec::new(),
             global_of_local: Vec::new(),
-            n_local_items: 0,
             queue: VecDeque::new(),
             kernel: TransitionMatrix::empty(),
         }
@@ -78,7 +78,7 @@ impl SubgraphScratch {
         }
         self.epoch += 1;
         self.global_of_local.clear();
-        self.n_local_items = 0;
+        self.kernel.reset_tagged();
         self.queue.clear();
 
         let n_users = graph.n_users();
@@ -90,7 +90,7 @@ impl SubgraphScratch {
         }
 
         while let Some(node) = self.queue.pop_front() {
-            if self.n_local_items > max_items {
+            if self.n_items() > max_items {
                 // Budget exhausted: stop growing, keep what we have.
                 break;
             }
@@ -105,7 +105,8 @@ impl SubgraphScratch {
         self.build_kernel(graph);
     }
 
-    /// Admit `node` if unseen this epoch; returns whether it was new.
+    /// Admit `node` if unseen this epoch, recording its side on the
+    /// kernel; returns whether it was new.
     #[inline]
     fn admit(&mut self, n_users: usize, node: usize) -> bool {
         let mark = &mut self.marks[node];
@@ -113,10 +114,13 @@ impl SubgraphScratch {
             return false;
         }
         mark.stamp = self.epoch;
-        mark.local = self.global_of_local.len() as u32;
+        let local = self.global_of_local.len() as u32;
+        mark.local = local;
         self.global_of_local.push(node);
         if node >= n_users {
-            self.n_local_items += 1;
+            self.kernel.items.push(local);
+        } else {
+            self.kernel.users.push(local);
         }
         true
     }
@@ -126,7 +130,7 @@ impl SubgraphScratch {
     /// degree in place.
     fn build_kernel<G: GraphView>(&mut self, graph: &G) {
         let epoch = self.epoch;
-        self.kernel.reset(self.global_of_local.len());
+        let n_users = graph.n_users();
         let kernel = &mut self.kernel;
         let marks = &self.marks;
         for &global in &self.global_of_local {
@@ -135,6 +139,9 @@ impl SubgraphScratch {
             graph.for_each_edge(global, |nbr, w| {
                 let mark = marks[nbr];
                 if mark.stamp == epoch {
+                    // The side tags promise the DP that every transition
+                    // crosses sides.
+                    debug_assert_ne!(global < n_users, nbr < n_users, "edge within a side");
                     kernel.col_idx.push(mark.local);
                     kernel.prob.push(w);
                     d += w;
@@ -168,7 +175,7 @@ impl SubgraphScratch {
     /// Number of item nodes retained by the last `grow`.
     #[inline]
     pub fn n_items(&self) -> usize {
-        self.n_local_items
+        self.kernel.items.len()
     }
 
     /// Local id of a global node, if retained by the last `grow`.
@@ -247,6 +254,12 @@ mod tests {
         for g in 0..graph.n_nodes() {
             assert_eq!(scratch.local_id(g), reference.local_id(g), "node {g}");
         }
+        // The side tags partition the local ids by `global < n_users`.
+        let (users, items) = scratch.kernel().sides().expect("tagged kernel");
+        let (expected_users, expected_items): (Vec<u32>, Vec<u32>) = (0..scratch.n_nodes() as u32)
+            .partition(|&local| scratch.global_ids()[local as usize] < graph.n_users());
+        assert_eq!(users, expected_users);
+        assert_eq!(items, expected_items);
         assert_eq!(scratch.kernel().n_nodes(), ref_kernel.n_nodes());
         for i in 0..ref_kernel.n_nodes() {
             let got = sorted_row(scratch.kernel(), i);

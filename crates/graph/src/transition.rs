@@ -17,13 +17,23 @@ use crate::adjacency::Adjacency;
 /// rounded quotient `w_ij / d_i` the unnormalized code recomputed per
 /// iteration, so kernel walks evaluate the same recursion (up to summation
 /// order within a row).
+///
+/// A kernel induced by [`crate::SubgraphScratch`] is *tagged*: it records
+/// which rows are users and which are items ([`TransitionMatrix::sides`]),
+/// so the dynamic programs can sweep one side at a time. A kernel from
+/// [`TransitionMatrix::from_adjacency`] is untagged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitionMatrix {
-    pub(crate) n: usize,
     pub(crate) row_ptr: Vec<usize>,
     pub(crate) col_idx: Vec<u32>,
     pub(crate) prob: Vec<f64>,
     pub(crate) degree: Vec<f64>,
+    /// Whether `users` and `items` partition the rows.
+    pub(crate) tagged: bool,
+    /// Local ids of the user rows, ascending (tagged kernels only).
+    pub(crate) users: Vec<u32>,
+    /// Local ids of the item rows, ascending (tagged kernels only).
+    pub(crate) items: Vec<u32>,
 }
 
 impl TransitionMatrix {
@@ -31,15 +41,18 @@ impl TransitionMatrix {
     /// [`crate::SubgraphScratch`]).
     pub fn empty() -> Self {
         Self {
-            n: 0,
             row_ptr: vec![0],
             col_idx: Vec::new(),
             prob: Vec::new(),
             degree: Vec::new(),
+            tagged: false,
+            users: Vec::new(),
+            items: Vec::new(),
         }
     }
 
-    /// Normalize an adjacency into its transition kernel. O(n + m).
+    /// Normalize an adjacency into its (untagged) transition kernel.
+    /// O(n + m).
     pub fn from_adjacency(adj: &Adjacency) -> Self {
         let n = adj.n_nodes();
         let mut row_ptr = Vec::with_capacity(n + 1);
@@ -59,18 +72,20 @@ impl TransitionMatrix {
             row_ptr.push(col_idx.len());
         }
         Self {
-            n,
             row_ptr,
             col_idx,
             prob,
             degree,
+            tagged: false,
+            users: Vec::new(),
+            items: Vec::new(),
         }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn n_nodes(&self) -> usize {
-        self.n
+        self.degree.len()
     }
 
     /// Number of stored transitions.
@@ -99,94 +114,27 @@ impl TransitionMatrix {
         self.row_ptr[i] == self.row_ptr[i + 1]
     }
 
-    /// Reset to an empty kernel over `n` nodes, retaining allocations.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.n = n;
+    /// The user rows and the item rows of a tagged kernel, as `(users,
+    /// items)`: ascending local ids that together partition
+    /// `0..n_nodes()`, with every transition leading from one side to the
+    /// other. `None` for an untagged kernel, whose transitions may join any
+    /// two nodes.
+    #[inline]
+    pub fn sides(&self) -> Option<(&[u32], &[u32])> {
+        self.tagged.then_some((&self.users, &self.items))
+    }
+
+    /// Reset to an empty tagged kernel, retaining allocations: the caller
+    /// records each node's side, then pushes its row.
+    pub(crate) fn reset_tagged(&mut self) {
         self.row_ptr.clear();
         self.row_ptr.push(0);
         self.col_idx.clear();
         self.prob.clear();
         self.degree.clear();
-    }
-
-    /// Serialize this kernel into a snapshot under `prefix`: sections
-    /// `{prefix}.n` (`u64`), `{prefix}.row_ptr` (`u64`), `{prefix}.col_idx`
-    /// (`u32`), `{prefix}.prob` (`f64`) and `{prefix}.degree` (`f64`).
-    pub fn save_into(&self, w: &mut crate::snapshot::SnapshotWriter, prefix: &str) {
-        w.put_u64s(&format!("{prefix}.n"), &[self.n as u64]);
-        let row_ptr: Vec<u64> = self.row_ptr.iter().map(|&p| p as u64).collect();
-        w.put_u64s(&format!("{prefix}.row_ptr"), &row_ptr);
-        w.put_u32s(&format!("{prefix}.col_idx"), &self.col_idx);
-        w.put_f64s(&format!("{prefix}.prob"), &self.prob);
-        w.put_f64s(&format!("{prefix}.degree"), &self.degree);
-    }
-
-    /// Deserialize a kernel written by [`TransitionMatrix::save_into`]
-    /// under the same `prefix`, validating structure fallibly (see
-    /// [`crate::CsrMatrix::load_from`] for the validation philosophy).
-    pub fn load_from(
-        snap: &crate::snapshot::Snapshot,
-        prefix: &str,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let invalid =
-            |section: String, reason: String| SnapshotError::InvalidSection { section, reason };
-        let n_name = format!("{prefix}.n");
-        let n_vals = snap.usizes(&n_name)?;
-        let [n] = n_vals[..] else {
-            return Err(invalid(
-                n_name,
-                format!("expected [n], found {} element(s)", n_vals.len()),
-            ));
-        };
-        let ptr_name = format!("{prefix}.row_ptr");
-        let row_ptr = snap.usizes(&ptr_name)?;
-        let col_idx = snap.u32s(&format!("{prefix}.col_idx"))?;
-        let prob = snap.f64s(&format!("{prefix}.prob"))?;
-        let degree = snap.f64s(&format!("{prefix}.degree"))?;
-
-        if row_ptr.len() != n + 1 {
-            return Err(invalid(
-                ptr_name,
-                format!("length {} != n + 1 = {}", row_ptr.len(), n + 1),
-            ));
-        }
-        if row_ptr[0] != 0 || row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(invalid(
-                ptr_name,
-                "row_ptr must start at 0 and be non-decreasing".to_string(),
-            ));
-        }
-        let nnz = *row_ptr.last().unwrap();
-        if col_idx.len() != nnz || prob.len() != nnz {
-            return Err(invalid(
-                format!("{prefix}.col_idx"),
-                format!(
-                    "row_ptr promises {nnz} transitions, found {} targets / {} probabilities",
-                    col_idx.len(),
-                    prob.len()
-                ),
-            ));
-        }
-        if degree.len() != n {
-            return Err(invalid(
-                format!("{prefix}.degree"),
-                format!("length {} != n = {n}", degree.len()),
-            ));
-        }
-        if let Some(&bad) = col_idx.iter().find(|&&c| c as usize >= n) {
-            return Err(invalid(
-                format!("{prefix}.col_idx"),
-                format!("transition target {bad} out of bounds ({n} nodes)"),
-            ));
-        }
-        Ok(Self {
-            n,
-            row_ptr,
-            col_idx,
-            prob,
-            degree,
-        })
+        self.tagged = true;
+        self.users.clear();
+        self.items.clear();
     }
 }
 
@@ -251,31 +199,15 @@ mod tests {
     fn empty_kernel_reset_reuses_allocations() {
         let mut k = TransitionMatrix::empty();
         assert_eq!(k.n_nodes(), 0);
-        k.reset(5);
-        assert_eq!(k.n_nodes(), 5);
+        assert_eq!(k.sides(), None);
+        k.reset_tagged();
+        assert_eq!(k.n_nodes(), 0);
         assert_eq!(k.nnz(), 0);
+        assert_eq!(k.sides(), Some((&[][..], &[][..])));
     }
 
     #[test]
-    fn snapshot_round_trip_is_exact() {
-        use crate::snapshot::{Snapshot, SnapshotError, SnapshotWriter};
-        let kernel = TransitionMatrix::from_adjacency(&tiny());
-        let mut w = SnapshotWriter::new("KERNEL", 1);
-        kernel.save_into(&mut w, "k");
-        let snap = Snapshot::from_bytes(w.to_bytes()).unwrap();
-        let back = TransitionMatrix::load_from(&snap, "k").unwrap();
-        assert_eq!(back, kernel);
-        // Structurally invalid kernel fails with a typed error.
-        let mut w = SnapshotWriter::new("KERNEL", 1);
-        w.put_u64s("k.n", &[2]);
-        w.put_u64s("k.row_ptr", &[0, 1, 1]);
-        w.put_u32s("k.col_idx", &[7]); // target out of bounds
-        w.put_f64s("k.prob", &[1.0]);
-        w.put_f64s("k.degree", &[1.0, 0.0]);
-        let snap = Snapshot::from_bytes(w.to_bytes()).unwrap();
-        assert!(matches!(
-            TransitionMatrix::load_from(&snap, "k"),
-            Err(SnapshotError::InvalidSection { .. })
-        ));
+    fn adjacency_kernels_are_untagged() {
+        assert_eq!(TransitionMatrix::from_adjacency(&tiny()).sides(), None);
     }
 }

@@ -18,50 +18,34 @@ use crate::dp::{truncated_costs_into, DpBuffers};
 use longtail_graph::{Adjacency, TransitionMatrix};
 use longtail_linalg::dense::DenseMatrix;
 use longtail_linalg::lu::{LinalgError, LuDecomposition};
-use std::borrow::Cow;
 
 /// An absorbing random walk over a fixed transition kernel and absorbing
 /// set.
 ///
-/// This is the convenient owned API: each walk normalizes (or borrows) its
-/// kernel once and every query method allocates its own result vector. The
+/// This is the convenient owned API: each walk normalizes its kernel once
+/// and every query method allocates its own result vector. The
 /// allocation-free hot path used by batch scoring lives in [`crate::dp`];
 /// both share the same iteration kernel.
 #[derive(Debug, Clone)]
-pub struct AbsorbingWalk<'a> {
-    kernel: Cow<'a, TransitionMatrix>,
+pub struct AbsorbingWalk {
+    kernel: TransitionMatrix,
     absorbing: Vec<bool>,
     n_absorbing: usize,
 }
 
-impl<'a> AbsorbingWalk<'a> {
+impl AbsorbingWalk {
     /// Create a walk absorbed by `absorbing_nodes`, normalizing `adj` into
     /// a transition kernel once up front.
     ///
     /// # Panics
     ///
     /// Panics if the absorbing set is empty or contains out-of-range ids.
-    pub fn new(adj: &'a Adjacency, absorbing_nodes: &[usize]) -> Self {
-        Self::with_kernel(
-            Cow::Owned(TransitionMatrix::from_adjacency(adj)),
-            absorbing_nodes,
-        )
-    }
-
-    /// Create a walk over a pre-built kernel, avoiding renormalization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the absorbing set is empty or contains out-of-range ids.
-    pub fn from_kernel(kernel: &'a TransitionMatrix, absorbing_nodes: &[usize]) -> Self {
-        Self::with_kernel(Cow::Borrowed(kernel), absorbing_nodes)
-    }
-
-    fn with_kernel(kernel: Cow<'a, TransitionMatrix>, absorbing_nodes: &[usize]) -> Self {
+    pub fn new(adj: &Adjacency, absorbing_nodes: &[usize]) -> Self {
         assert!(
             !absorbing_nodes.is_empty(),
             "absorbing set must be non-empty"
         );
+        let kernel = TransitionMatrix::from_adjacency(adj);
         let n = kernel.n_nodes();
         let mut absorbing = vec![false; n];
         let mut n_absorbing = 0;

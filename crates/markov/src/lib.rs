@@ -9,7 +9,8 @@
 //!   program and an exact LU-based solver;
 //! * [`dp`] — the allocation-free truncated dynamic program over a
 //!   pre-normalized [`longtail_graph::TransitionMatrix`], with caller-owned
-//!   [`DpBuffers`] (the batch-scoring hot path) and an adaptive
+//!   [`DpBuffers`] (the batch-scoring hot path), half-sweeps over the
+//!   side-tagged kernels of query subgraphs, and an adaptive
 //!   early-terminating form ([`truncated_costs_converge_into`]) that stops
 //!   once the remaining iterations provably cannot matter;
 //! * [`cost`] — per-node entry-cost models (unit cost ⇒ absorbing time,

@@ -19,8 +19,9 @@
 //!   ranking; once the breaker opens, the primary is not even attempted;
 //! * **poison refusal** — NaN/−∞ scores are refused typed and feed the
 //!   breaker;
-//! * **no false failures** — a user id outside a walk model's graph is a
-//!   user with no ratings, served an empty list, never a breaker failure;
+//! * **no false failures** — a user id outside a model's training data is
+//!   a user with no ratings in every family, served an empty list, never a
+//!   breaker failure;
 //! * **supervision** — a kill-marked worker death is detected and the
 //!   worker respawned, keeping the configured pool size; a probe that
 //!   kills its worker re-opens the breaker (never wedging it HalfOpen)
@@ -29,10 +30,7 @@
 //! Case counts honour `PROPTEST_CASES` (see `vendor/proptest`), which CI
 //! pins so the suite stays bounded.
 
-use longtail_core::{
-    AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,
-    HittingTimeRecommender, PopularityRecommender, Recommender, ScoredItem,
-};
+use longtail_core::{PopularityRecommender, Recommender, ScoredItem};
 use longtail_data::{Dataset, Rating};
 use longtail_serve::{
     BreakerConfig, BreakerState, Engine, FaultKind, FaultPlan, FaultyRecommender, RecommendRequest,
@@ -311,25 +309,29 @@ fn open_breaker_without_fallback_fails_fast_at_submit() {
 #[test]
 fn out_of_range_users_are_served_empty_and_never_trip_the_breaker() {
     let d = corpus();
-    let walk = GraphRecConfig::default();
-    let engine = Engine::builder()
+    let models = roster(&d);
+    let mut builder = Engine::builder()
         .workers(1)
-        .model("HT", Arc::new(HittingTimeRecommender::new(&d, walk)))
-        .model("AT", Arc::new(AbsorbingTimeRecommender::new(&d, walk)))
-        .model(
-            "AC1",
-            Arc::new(AbsorbingCostRecommender::item_entropy(
-                &d,
-                AbsorbingCostConfig::default(),
-            )),
-        )
-        .breakers(BreakerConfig::default())
-        .build();
+        .breakers(BreakerConfig::default());
+    for (name, model) in &models {
+        builder = builder.model(*name, model.clone());
+    }
+    let engine = builder.build();
     let outside = [4, 999, u32::MAX];
-    for model in ["HT", "AT", "AC1"] {
+    for (model, rec) in &models {
+        // The family's own contract: no rated items, all `-∞` scores.
+        for &user in &outside {
+            assert!(rec.rated_items(user).is_empty(), "{model} user {user}");
+            let scores = rec.score_items(user);
+            assert_eq!(scores.len(), d.n_items(), "{model} user {user}");
+            assert!(
+                scores.iter().all(|&s| s == f64::NEG_INFINITY),
+                "{model} user {user}: {scores:?}"
+            );
+        }
         // A burst through the worker pool, then more on the inline path.
         let burst = (0..8)
-            .map(|i| RecommendRequest::new(model, outside[i % outside.len()], 3))
+            .map(|i| RecommendRequest::new(*model, outside[i % outside.len()], 3))
             .collect();
         for reply in engine.recommend_batch(burst) {
             let reply = reply.expect("an out-of-range user is served, not failed");
@@ -337,12 +339,12 @@ fn out_of_range_users_are_served_empty_and_never_trip_the_breaker() {
         }
         for &user in &outside {
             let reply = engine
-                .recommend(&RecommendRequest::new(model, user, 3))
+                .recommend(&RecommendRequest::new(*model, user, 3))
                 .expect("an out-of-range user is served, not failed");
             assert!(reply.items.is_empty(), "{model} user {user}");
         }
         let valid = engine
-            .recommend(&RecommendRequest::new(model, 0, 3))
+            .recommend(&RecommendRequest::new(*model, 0, 3))
             .expect("a valid user is still served");
         assert!(!valid.items.is_empty(), "{model}: user 0 has candidates");
     }

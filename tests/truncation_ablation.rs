@@ -1,4 +1,4 @@
-//! Integration test for DESIGN.md ablation #1: the truncated dynamic
+//! Integration test for the truncation ablation: the truncated dynamic
 //! program (Algorithm 1, τ = 15) reproduces the exact linear-solve ranking.
 //!
 //! The paper claims "when we use 15 iterations, it already achieves almost
