@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Most binaries in `src/bin/` regenerate one table or figure of the paper
 //! (`run_all` runs them all); `bench_walk_scoring` writes the walk-scoring

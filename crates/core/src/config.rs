@@ -150,7 +150,7 @@ impl From<Vec<u32>> for ExclusionSet {
 /// query but is not the query itself (user, k) lives here, so a context can
 /// be shared by requests with different policies. `Default` is the plain
 /// serving configuration — adaptive stopping, no extra exclusions, no
-/// re-ranking — and is what the convenience methods
+/// re-ranking, the base graph alone — and is what the convenience methods
 /// ([`crate::Recommender::recommend`],
 /// [`crate::Recommender::recommend_with`]) use.
 ///
@@ -208,6 +208,13 @@ pub struct RecommendOptions<'a> {
     /// ([`RecommendOptions::finalize_topk`]), leaving per-item provenance
     /// in the context. `None` (the default) serves raw walk order.
     pub rerank: Option<crate::rerank::Reranker<'a>>,
+    /// Optional streamed rating appends to serve on top of the model's
+    /// base graph (see [`crate::Recommender::recommend_into`] for the
+    /// overlay contract). The walk families merge it on read, ranking as a
+    /// model rebuilt on the union would; the non-walk families ignore it
+    /// and serve their frozen base (correct but stale). `None` (the
+    /// default) and an empty delta serve the base alone.
+    pub delta: Option<&'a longtail_graph::EdgeDelta>,
 }
 
 impl Default for RecommendOptions<'_> {
@@ -218,13 +225,14 @@ impl Default for RecommendOptions<'_> {
             deadline: None,
             recency: None,
             rerank: None,
+            delta: None,
         }
     }
 }
 
 impl<'a> RecommendOptions<'a> {
     /// The default options: adaptive stopping, no extra exclusions, no
-    /// re-ranking.
+    /// re-ranking, no delta.
     pub fn new() -> Self {
         Self::default()
     }
@@ -270,6 +278,13 @@ impl<'a> RecommendOptions<'a> {
     /// [`RecommendOptions::rerank`]).
     pub fn rerank(mut self, reranker: crate::rerank::Reranker<'a>) -> Self {
         self.rerank = Some(reranker);
+        self
+    }
+
+    /// These options serving `delta` on top of the model's base graph (see
+    /// [`RecommendOptions::delta`]).
+    pub fn delta(mut self, delta: &'a longtail_graph::EdgeDelta) -> Self {
+        self.delta = Some(delta);
         self
     }
 
@@ -354,6 +369,7 @@ mod tests {
         assert!(opts.exclude.is_empty());
         assert!(!opts.is_excluded(0));
         assert!(opts.rerank.is_none());
+        assert!(opts.delta.is_none());
 
         let fixed = RecommendOptions::with_stopping(DpStopping::Fixed);
         assert_eq!(fixed.stopping, DpStopping::Fixed);
@@ -381,11 +397,14 @@ mod tests {
     #[test]
     fn builder_chain_sets_every_knob() {
         let hidden = ExclusionSet::new(vec![7]);
+        let delta = longtail_graph::EdgeDelta::new(1, 1);
         let opts = RecommendOptions::new()
             .stopping(DpStopping::Fixed)
-            .exclude(&hidden);
+            .exclude(&hidden)
+            .delta(&delta);
         assert_eq!(opts.stopping, DpStopping::Fixed);
         assert!(opts.is_excluded(7));
+        assert!(opts.delta.is_some_and(|d| std::ptr::eq(d, &delta)));
         // Without a re-ranker the fused path fetches exactly k.
         assert_eq!(opts.fetch(10), 10);
     }

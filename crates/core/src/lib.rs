@@ -70,7 +70,8 @@ pub use longtail_graph::{EdgeDelta, RecencyDecay};
 /// reach score `f64::NEG_INFINITY` and are never recommended.
 ///
 /// Serving rides [`Recommender::recommend_into`] (and its batch form
-/// [`Recommender::recommend_batch`]): a fused top-k path that every
+/// [`Recommender::recommend_batch`]), for base and streamed-delta reads
+/// alike ([`RecommendOptions::delta`]): a fused top-k path that every
 /// recommender overrides to push candidates into a bounded
 /// [`TopKCollector`] instead of materializing and sorting a full
 /// `O(n_items)` score vector. Fused output is pinned — by property tests —
@@ -162,6 +163,21 @@ pub trait Recommender: Sync {
     /// ([`RecommendOptions::finalize_topk`]); a disabled or absent policy
     /// is a strict no-op, preserving the identity contract above.
     ///
+    /// With a [`RecommendOptions::delta`] of streamed rating appends, the
+    /// walk family (HT/AT/AC) serves base + delta as an overlay — the
+    /// serving primitive behind `longtail-serve`'s ingest path. The
+    /// contract, pinned by the overlay-equivalence property tests: the list
+    /// is identical to what a model **rebuilt from scratch on the union**
+    /// of base and delta ratings would serve (bit-identical when the
+    /// weights are exact-sum values like integer stars). The user's
+    /// exclusion set is the merged base + delta rated set, and delta-only
+    /// users and items are first-class: a user who exists only in the
+    /// delta is served off their appended ratings alone, and a user
+    /// outside the merged graph is served an empty list. The other
+    /// families ignore the delta and serve their frozen base —
+    /// correct-but-stale, since they would need retraining to absorb new
+    /// ratings. A wrapper that forwards `opts` forwards the delta with it.
+    ///
     /// The default implementation *is* the score-then-sort computation
     /// (through reusable context buffers); recommenders override it with
     /// fused paths that push candidates straight into the context's
@@ -193,34 +209,20 @@ pub trait Recommender: Sync {
         opts.finalize_topk(k, ctx, out);
     }
 
-    /// [`Recommender::recommend_into`] with a streamed [`EdgeDelta`] of
-    /// rating appends overlaid on the model's base graph — the serving
-    /// primitive behind `longtail-serve`'s ingest path.
-    ///
-    /// The contract, pinned by the overlay-equivalence property tests: the
-    /// list is identical to what a model **rebuilt from scratch on the
-    /// union** of base and delta ratings would serve (for the walk family;
-    /// bit-identical when the weights are exact-sum values like integer
-    /// stars). The user's exclusion set is the merged base + delta rated
-    /// set, and `delta`-only users and items are first-class: a user who
-    /// exists only in the delta is served off their appended ratings alone.
-    ///
-    /// The default implementation ignores the delta and serves the frozen
-    /// base model — correct-but-stale for the non-walk families, which
-    /// would need retraining to absorb new ratings. HT/AT/AC implement it
-    /// with the true merge, scoring base + delta without any rebuild,
-    /// through the same walk routine as their `recommend_into` (a user
-    /// outside the merged graph is served an empty list).
+    /// [`Recommender::recommend_into`] with `delta` set as
+    /// [`RecommendOptions::delta`] — nothing more. A shim kept only because
+    /// the benchmark (`perfbench/`) still calls and implements it; ROADMAP
+    /// item 4(b) removes it. New code sets the option instead.
     fn recommend_delta_into(
         &self,
-        _delta: &EdgeDelta,
+        delta: &EdgeDelta,
         user: u32,
         k: usize,
         opts: &RecommendOptions<'_>,
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        self.recommend_into(user, k, opts, ctx, out);
+        self.recommend_into(user, k, &opts.delta(delta), ctx, out);
     }
 
     /// Top-`k` lists for a batch of users, sharding the queries over

@@ -15,7 +15,7 @@ use crate::context::ScoringContext;
 use crate::walk_common::{Absorb, EntryCosts, Walk};
 use crate::{Recommender, ScoredItem};
 use longtail_data::Dataset;
-use longtail_graph::{BipartiteGraph, EdgeDelta, GraphView, OverlayGraph};
+use longtail_graph::{BipartiteGraph, GraphView, OverlayGraph};
 use longtail_topics::{item_based_entropy, topic_based_entropy, LdaConfig, LdaModel};
 
 /// Which entropy estimator an [`AbsorbingCostRecommender`] uses.
@@ -209,19 +209,7 @@ impl Recommender for AbsorbingCostRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        self.walk().serve(None, user, k, opts, ctx, out);
-    }
-
-    fn recommend_delta_into(
-        &self,
-        delta: &EdgeDelta,
-        user: u32,
-        k: usize,
-        opts: &RecommendOptions<'_>,
-        ctx: &mut ScoringContext,
-        out: &mut Vec<ScoredItem>,
-    ) {
-        self.walk().serve(Some(delta), user, k, opts, ctx, out);
+        self.walk().serve(user, k, opts, ctx, out);
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {

@@ -11,7 +11,7 @@ use crate::context::ScoringContext;
 use crate::walk_common::{Absorb, Walk};
 use crate::{Recommender, ScoredItem};
 use longtail_data::Dataset;
-use longtail_graph::{BipartiteGraph, EdgeDelta};
+use longtail_graph::BipartiteGraph;
 
 /// The user-based Hitting Time recommender.
 #[derive(Debug, Clone)]
@@ -67,19 +67,7 @@ impl Recommender for HittingTimeRecommender {
         ctx: &mut ScoringContext,
         out: &mut Vec<ScoredItem>,
     ) {
-        self.walk().serve(None, user, k, opts, ctx, out);
-    }
-
-    fn recommend_delta_into(
-        &self,
-        delta: &EdgeDelta,
-        user: u32,
-        k: usize,
-        opts: &RecommendOptions<'_>,
-        ctx: &mut ScoringContext,
-        out: &mut Vec<ScoredItem>,
-    ) {
-        self.walk().serve(Some(delta), user, k, opts, ctx, out);
+        self.walk().serve(user, k, opts, ctx, out);
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {

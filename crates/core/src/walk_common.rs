@@ -10,11 +10,12 @@
 //! and AC, §4.1) and what a hop costs (one step, or AC's user entropies,
 //! Eq. 9–11, through [`EntryCosts`]). Everything else is shared:
 //! [`Walk::score_into`] computes the reference scores and [`Walk::serve`]
-//! the fused top-k list, choosing the graph view in one place — the frozen
-//! base, a base + delta overlay, or either under recency decay. Each of
-//! those four view arms is one generic instantiation for all three
-//! families. A user outside the view is served as a user with no ratings:
-//! an empty list, all `-∞` scores, no rated items.
+//! the fused top-k list, choosing the graph view in one place from the
+//! request's options — the frozen base, a base +
+//! [`crate::RecommendOptions::delta`] overlay, or either under recency
+//! decay. Each of those four view arms is one generic instantiation for
+//! all three families. A user outside the view is served as a user with no
+//! ratings: an empty list, all `-∞` scores, no rated items.
 //!
 //! All helpers write through caller-owned buffers (the
 //! [`crate::ScoringContext`]), so a steady-state scoring loop performs no
@@ -35,9 +36,7 @@ use crate::config::{DpStopping, GraphRecConfig, RecommendOptions};
 use crate::context::ScoringContext;
 use crate::recommenders::rated_row;
 use crate::topk::{outranks, ScoredItem, TopKCollector};
-use longtail_graph::{
-    BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph, SubgraphScratch,
-};
+use longtail_graph::{BipartiteGraph, Decayed, GraphView, OverlayGraph, SubgraphScratch};
 use longtail_markov::{
     truncated_costs_converge_into, truncated_costs_into, CostModel, DpBuffers, DpProbe, DpRun,
     SliceCost, UnitCost,
@@ -62,7 +61,8 @@ pub(crate) enum Absorb {
 /// target node costs.
 pub(crate) trait EntryCosts {
     /// Cost of entering `user`. `overlay` is the undecayed base + delta
-    /// merge when a delta is served, so costs derived from the ratings see
+    /// merge when the request's options carry a non-empty
+    /// [`RecommendOptions::delta`], so costs derived from the ratings see
     /// the appended rows.
     fn user_cost(&self, overlay: Option<&OverlayGraph<'_>>, user: u32) -> f64;
 
@@ -98,12 +98,11 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// The fused serving path: [`crate::Recommender::recommend_into`]
-    /// without a `delta`, [`crate::Recommender::recommend_delta_into`] with
-    /// one.
+    /// The fused serving path, [`crate::Recommender::recommend_into`]: over
+    /// the base graph, or over base + [`RecommendOptions::delta`] when the
+    /// options carry one.
     pub(crate) fn serve(
         &self,
-        delta: Option<&EdgeDelta>,
         user: u32,
         k: usize,
         opts: &RecommendOptions<'_>,
@@ -111,7 +110,8 @@ impl<'a> Walk<'a> {
         out: &mut Vec<ScoredItem>,
     ) {
         // An empty delta serves the frozen base without overlay overhead.
-        let overlay = delta
+        let overlay = opts
+            .delta
             .filter(|d| !d.is_empty())
             .map(|d| OverlayGraph::new(self.graph, d));
         // The exclusion set: the base rated row, or the merged base + delta

@@ -1,6 +1,9 @@
 //! The streaming-overlay contract, property-tested: for every walk family,
 //! serving over base + [`EdgeDelta`] overlay ranks **identically** to a
-//! model rebuilt from scratch on the union of the ratings.
+//! model rebuilt from scratch on the union of the ratings. The delta is
+//! served through the options form (`recommend_into` with
+//! [`RecommendOptions::delta`]) and through the `recommend_delta_into`
+//! shim; both must match the rebuild.
 //!
 //! With integer star values the overlay's merged rows carry exactly the
 //! sums CSR construction produces for the union (f64 integer sums are
@@ -91,7 +94,9 @@ fn union(base: &[Rating], appends: &[Rating], n_users: usize, n_items: usize) ->
 }
 
 /// Overlay serving vs. the rebuilt model: same items, same ranks, same
-/// scores, for every user, under both stopping policies.
+/// score bits, for every user, under both stopping policies — through the
+/// options form (`recommend_into` with [`RecommendOptions::delta`]) and
+/// through the `recommend_delta_into` shim alike.
 fn check_overlay_matches_rebuild(
     overlay_rec: &dyn Recommender,
     delta: &EdgeDelta,
@@ -105,31 +110,39 @@ fn check_overlay_matches_rebuild(
     for stopping in [DpStopping::Fixed, DpStopping::default()] {
         let opts = RecommendOptions::with_stopping(stopping);
         for u in 0..n_users as u32 {
-            overlay_rec.recommend_delta_into(delta, u, 5, &opts, &mut ctx_a, &mut got);
             rebuilt.recommend_into(u, 5, &opts, &mut ctx_b, &mut want);
-            let got_items: Vec<u32> = got.iter().map(|s| s.item).collect();
-            let want_items: Vec<u32> = want.iter().map(|s| s.item).collect();
-            prop_assert_eq!(
-                &got_items,
-                &want_items,
-                "{} user {} ({:?}): overlay {:?} vs rebuild {:?}",
-                rebuilt.name(),
-                u,
-                stopping,
-                got_items,
-                want_items
-            );
-            for (a, b) in got.iter().zip(want.iter()) {
+            for via_options in [true, false] {
+                if via_options {
+                    overlay_rec.recommend_into(u, 5, &opts.delta(delta), &mut ctx_a, &mut got);
+                } else {
+                    overlay_rec.recommend_delta_into(delta, u, 5, &opts, &mut ctx_a, &mut got);
+                }
+                let got_items: Vec<u32> = got.iter().map(|s| s.item).collect();
+                let want_items: Vec<u32> = want.iter().map(|s| s.item).collect();
                 prop_assert_eq!(
-                    a.score,
-                    b.score,
-                    "{} user {} item {}: overlay score {} != rebuild {}",
+                    &got_items,
+                    &want_items,
+                    "{} user {} ({:?}, options form {}): overlay {:?} vs rebuild {:?}",
                     rebuilt.name(),
                     u,
-                    a.item,
-                    a.score,
-                    b.score
+                    stopping,
+                    via_options,
+                    got_items,
+                    want_items
                 );
+                for (a, b) in got.iter().zip(want.iter()) {
+                    prop_assert_eq!(
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "{} user {} item {} (options form {}): overlay score {} != rebuild {}",
+                        rebuilt.name(),
+                        u,
+                        a.item,
+                        via_options,
+                        a.score,
+                        b.score
+                    );
+                }
             }
         }
     }
@@ -199,8 +212,18 @@ proptest! {
         for (overlay_rec, rebuilt) in &pairs {
             check_same_lists(
                 rebuilt.name(),
+                |u, s, out| overlay_rec.recommend_into(u, 5, &decayed(s).delta(&delta), &mut ctx_a, out),
+                |u, s, out| rebuilt.recommend_into(u, 5, &decayed(s), &mut ctx_b, out),
+            )?;
+            check_same_lists(
+                rebuilt.name(),
                 |u, s, out| overlay_rec.recommend_delta_into(&delta, u, 5, &decayed(s), &mut ctx_a, out),
                 |u, s, out| rebuilt.recommend_into(u, 5, &decayed(s), &mut ctx_b, out),
+            )?;
+            check_same_lists(
+                overlay_rec.name(),
+                |u, s, out| overlay_rec.recommend_into(u, 5, &decayed(s).delta(&empty), &mut ctx_a, out),
+                |u, s, out| overlay_rec.recommend_into(u, 5, &decayed(s), &mut ctx_b, out),
             )?;
             check_same_lists(
                 overlay_rec.name(),

@@ -53,17 +53,15 @@ impl Dataset {
     ///
     /// # Panics
     ///
-    /// Panics if any rating is out of bounds or non-positive: a zero or
-    /// negative "rating" has no interpretation as an edge weight.
+    /// Panics if any rating is out of bounds, or its value is not finite
+    /// and positive: a zero or negative "rating" has no interpretation as
+    /// an edge weight, and an infinite one makes every normalized row it
+    /// enters NaN.
     pub fn from_ratings(n_users: usize, n_items: usize, ratings: &[Rating]) -> Self {
         let triplets: Vec<(u32, u32, f64)> = ratings
             .iter()
             .map(|r| {
-                assert!(
-                    r.value > 0.0,
-                    "rating values must be positive, got {}",
-                    r.value
-                );
+                check_value(r.value);
                 (r.user, r.item, r.value)
             })
             .collect();
@@ -79,16 +77,13 @@ impl Dataset {
     ///
     /// # Panics
     ///
-    /// Panics if any rating is out of bounds or non-positive.
+    /// Panics if any rating is out of bounds, or its value is not finite
+    /// and positive.
     pub fn from_timed_ratings(n_users: usize, n_items: usize, ratings: &[TimedRating]) -> Self {
         let mut triplets = Vec::with_capacity(ratings.len());
         let mut stamps = Vec::with_capacity(ratings.len());
         for r in ratings {
-            assert!(
-                r.value > 0.0,
-                "rating values must be positive, got {}",
-                r.value
-            );
+            check_value(r.value);
             triplets.push((r.user, r.item, r.value));
             stamps.push((r.user, r.item, r.timestamp));
         }
@@ -296,6 +291,15 @@ impl Dataset {
     }
 }
 
+/// The rating-value contract of the dataset constructors: finite and
+/// positive.
+fn check_value(value: f64) {
+    assert!(
+        value.is_finite() && value > 0.0,
+        "rating values must be finite and positive, got {value}"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +486,21 @@ mod tests {
         assert!(sample().shard_by_user(2, |u, n| u as usize % n)[0]
             .times()
             .is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_timed_rating_rejected() {
+        Dataset::from_timed_ratings(
+            1,
+            1,
+            &[TimedRating {
+                user: 0,
+                item: 0,
+                value: f64::INFINITY,
+                timestamp: 0.0,
+            }],
+        );
     }
 
     #[test]

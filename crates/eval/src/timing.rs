@@ -4,7 +4,8 @@
 //! (excluding offline training), finding the subgraph-bounded AC2 comparable
 //! to the model-based LDA/PureSVD and ~26x faster than full-graph DPPR.
 //! This module reproduces that measurement with plain wall-clock timing;
-//! the statistically careful version lives in the Criterion benches.
+//! the serving stack's latency under load, with its spread, is the
+//! benchmark's (`perfbench/`) to measure.
 
 use longtail_core::{DpStopping, DpTelemetry, RecommendOptions, Recommender, ScoringContext};
 use longtail_serve::{

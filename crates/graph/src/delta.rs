@@ -78,9 +78,14 @@ impl EdgeDelta {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive weight (no interpretation as an edge).
+    /// Panics on a weight that is not finite and positive: a zero or
+    /// negative weight has no interpretation as an edge, and an infinite
+    /// one would make every normalized row it enters NaN.
     pub fn insert(&mut self, user: u32, item: u32, weight: f64, timestamp: f64) {
-        assert!(weight > 0.0, "delta weights must be positive, got {weight}");
+        assert!(
+            weight.is_finite() && weight > 0.0,
+            "delta weights must be finite and positive, got {weight}"
+        );
         self.n_users = self.n_users.max(user as usize + 1);
         self.n_items = self.n_items.max(item as usize + 1);
         let fresh = Self::upsert(
@@ -307,6 +312,12 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn delta_rejects_zero_weight() {
         EdgeDelta::new(1, 1).insert(0, 0, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn delta_rejects_infinite_weight() {
+        EdgeDelta::new(1, 1).insert(0, 0, f64::INFINITY, 0.0);
     }
 
     #[test]

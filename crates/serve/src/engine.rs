@@ -5,7 +5,7 @@
 
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
 use crate::faults::WORKER_KILL_MARK;
-use crate::ingest::{CompactionReport, DeltaSnapshot, DeltaStore};
+use crate::ingest::{CompactionReport, DeltaStore};
 use crate::pool::ContextPool;
 use crate::queue::{Admission, AdmissionPolicy, Job, JobQueue};
 use crate::request::{RecommendRequest, RecommendResponse, RetryPolicy, ServeError};
@@ -414,14 +414,13 @@ impl EngineCore {
             armed: probe,
         };
 
-        // The request's exclusion set was normalized once at build time
-        // (`RecommendRequest::excluding`), so every attempt — retries
-        // included — borrows it for free.
-        let mut opts = RecommendOptions::new()
-            .stopping(req.stopping.unwrap_or(self.default_stopping))
-            .exclude(&req.exclude);
-        opts.deadline = req.deadline;
-        opts.recency = req.recency;
+        // The pinned delta epoch rides on the options, so the model's one
+        // serving call scores base + delta (an empty delta serves the base
+        // without overlay overhead, the epoch still reported).
+        let mut opts = self.request_options(req);
+        if let Some(snap) = &snap {
+            opts = opts.delta(&snap.delta);
+        }
         // Resolve the effective re-rank policy: request override → the
         // request's QoS-class default → the engine-wide default. It binds
         // only when the routed model has a rerank index registered — the
@@ -445,7 +444,7 @@ impl EngineCore {
             // evidence about the model. Only the first attempt can be the
             // half-open probe.
             let probe = probe && attempt_no == 1;
-            match self.attempt(&version, shard, req, &opts, snap.as_ref()) {
+            match self.attempt(&version, shard, req, &opts, snap.as_ref().map(|s| s.epoch)) {
                 Ok(resp) => {
                     version.breaker.record_success(probe);
                     pledge.settle();
@@ -512,18 +511,12 @@ impl EngineCore {
             return Err(why);
         };
         let (version, shard) = entry.resolve(req.user);
-        // The fallback honors the request's exclusions (already normalized
-        // at build time) but is never re-ranked: a degraded answer is the
+        // The fallback is never re-ranked: a degraded answer is the
         // availability floor, and no rerank index binds to the fallback's
-        // graph anyway.
-        let mut opts = RecommendOptions::new()
-            .stopping(req.stopping.unwrap_or(self.default_stopping))
-            .exclude(&req.exclude);
-        opts.deadline = req.deadline;
-        opts.recency = req.recency;
-        // The fallback serves its own frozen base — no delta snapshot, no
-        // epoch claim — even when the primary had ingest attached: a
-        // degraded answer makes no epoch-consistency promise.
+        // graph anyway. Nor does it carry a delta: it serves its own frozen
+        // base with no epoch claim, even when the primary had ingest
+        // attached — a degraded answer makes no epoch-consistency promise.
+        let opts = self.request_options(req);
         match self.attempt(&version, shard, req, &opts, None) {
             // The struct update keeps the fallback's own `version` field:
             // the response reports the version that actually served it.
@@ -537,15 +530,30 @@ impl EngineCore {
         }
     }
 
+    /// The serving options every model answering `req` shares: its
+    /// stopping policy (or the engine default), exclusions, deadline and
+    /// recency decay. The request's exclusion set was normalized once at
+    /// build time (`RecommendRequest::excluding`), so every attempt —
+    /// retries and fallback included — borrows it for free.
+    fn request_options<'r>(&self, req: &'r RecommendRequest) -> RecommendOptions<'r> {
+        let mut opts = RecommendOptions::new()
+            .stopping(req.stopping.unwrap_or(self.default_stopping))
+            .exclude(&req.exclude);
+        opts.deadline = req.deadline;
+        opts.recency = req.recency;
+        opts
+    }
+
     /// One serving attempt through a pooled context: catch panics, refuse
-    /// poisoned scores, detect cooperative deadline cancellation.
+    /// poisoned scores, detect cooperative deadline cancellation. `epoch`
+    /// is the delta epoch `opts` serves, claimed on the response.
     fn attempt(
         &self,
         version: &ModelVersion,
         shard: Option<usize>,
         req: &RecommendRequest,
         opts: &RecommendOptions<'_>,
-        snap: Option<&DeltaSnapshot>,
+        epoch: Option<u64>,
     ) -> Result<RecommendResponse, ServeError> {
         let mut ctx = self.contexts.checkout();
         let before = ctx.dp_telemetry();
@@ -560,23 +568,9 @@ impl EngineCore {
         // catch (pool, aggregate) is only ever locked around non-panicking
         // code, so observing it after an unwind is sound.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match snap {
-                // The streaming path: score over base + the pinned delta
-                // epoch. An empty delta short-circuits to the plain path
-                // inside recommend_delta_into, so the epoch is still
-                // reported without overlay overhead.
-                Some(snap) => version.rec.recommend_delta_into(
-                    &snap.delta,
-                    req.user,
-                    req.k,
-                    opts,
-                    &mut ctx,
-                    &mut items,
-                ),
-                None => version
-                    .rec
-                    .recommend_into(req.user, req.k, opts, &mut ctx, &mut items),
-            }
+            version
+                .rec
+                .recommend_into(req.user, req.k, opts, &mut ctx, &mut items)
         }));
         if let Err(payload) = outcome {
             EngineCounters::bump(&self.counters.contexts_discarded);
@@ -609,7 +603,7 @@ impl EngineCore {
             model: version.rec.name(),
             version: version.version,
             shard,
-            epoch: snap.map(|s| s.epoch),
+            epoch,
             telemetry,
             provenance,
             degraded: false,

@@ -13,7 +13,11 @@
 //!
 //! Faults apply only to [`Recommender::recommend_into`] (the path the
 //! engine serves); `score_into` delegates untouched so reference scoring
-//! and Recall@N stay clean.
+//! and Recall@N stay clean. Ingest reads are `recommend_into` calls too —
+//! the pinned delta rides on [`RecommendOptions::delta`], which the wrapper
+//! forwards with the rest of the options — so they are counted and faulted
+//! like any other call, and a call that does not fault serves base + delta
+//! exactly as the wrapped model would.
 
 use longtail_core::{RecommendOptions, Recommender, ScoredItem, ScoringContext};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,8 +156,8 @@ impl FaultPlan {
 }
 
 /// A [`Recommender`] wrapper that injects the faults of a [`FaultPlan`]
-/// into its serving path, counting `recommend_into` calls across all
-/// threads sharing it.
+/// into its serving path, counting `recommend_into` calls (ingest reads
+/// included) across all threads sharing it.
 ///
 /// Everything else — `score_into`, `rated_items`, `n_items`, `name` —
 /// delegates to the wrapped model untouched.

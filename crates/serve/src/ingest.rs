@@ -7,8 +7,9 @@
 //! the log into the shared delta and advances the store's **epoch** — the
 //! version number of the delta's contents. Queries take a
 //! [`DeltaSnapshot`] (an `Arc` pin of the delta at one epoch) and serve
-//! base + overlay through
-//! [`longtail_core::Recommender::recommend_delta_into`]; snapshots taken
+//! base + overlay through the model's one serving call,
+//! [`longtail_core::Recommender::recommend_into`], with the pinned delta on
+//! [`longtail_core::RecommendOptions::delta`]; snapshots taken
 //! mid-publish see either the old or the new epoch, never a mix.
 //!
 //! **Epoch/version coupling** is the torn-swap defence: every snapshot
@@ -33,7 +34,7 @@ pub struct DeltaRating {
     pub user: u32,
     /// The rated item (may exceed the base model's item count).
     pub item: u32,
-    /// Rating value; must be positive.
+    /// Rating value; must be finite and positive.
     pub value: f64,
     /// Rating timestamp (same clock as the base data's stamps; feed the
     /// recency-decay path).
@@ -213,14 +214,10 @@ impl DeltaStore {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive rating value (same contract as
-    /// [`EdgeDelta::insert`]).
+    /// Panics on a rating value that is not finite and positive (same
+    /// contract as [`EdgeDelta::insert`]); the store is then untouched.
     pub fn append(&self, rating: DeltaRating) -> u64 {
-        assert!(
-            rating.value > 0.0,
-            "rating values must be positive, got {}",
-            rating.value
-        );
+        check_value(&rating);
         self.appends.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock();
         state.pending.push(rating);
@@ -234,16 +231,18 @@ impl DeltaStore {
 
     /// Accept a batch of appends (one lock acquisition), auto-publishing
     /// per the config. Returns the epoch after the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any rating value is not finite and positive. The whole
+    /// batch is checked first, so a bad rating anywhere leaves the store
+    /// untouched: no rating of the batch is accepted or counted.
     pub fn append_batch(&self, ratings: &[DeltaRating]) -> u64 {
+        ratings.iter().for_each(check_value);
         self.appends
             .fetch_add(ratings.len() as u64, Ordering::Relaxed);
         let mut state = self.state.lock();
         for &rating in ratings {
-            assert!(
-                rating.value > 0.0,
-                "rating values must be positive, got {}",
-                rating.value
-            );
             state.pending.push(rating);
             state.since_fold.push(rating);
             if state.pending.len() >= self.config.publish_every {
@@ -392,6 +391,18 @@ fn union_dataset(base: &Dataset, delta: &EdgeDelta) -> Dataset {
         });
     });
     Dataset::from_timed_ratings(n_users, n_items, &ratings)
+}
+
+/// The rating-value contract of [`EdgeDelta::insert`], checked before the
+/// store is touched: a value must be finite and positive. An infinite
+/// weight would pass a bare `> 0` test and turn the overlay's normalized
+/// rows, and every walk reaching them, into NaN.
+fn check_value(rating: &DeltaRating) {
+    assert!(
+        rating.value.is_finite() && rating.value > 0.0,
+        "rating values must be finite and positive, got {}",
+        rating.value
+    );
 }
 
 #[cfg(test)]
@@ -555,5 +566,28 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn non_positive_values_are_rejected() {
         DeltaStore::with_defaults(base()).append(rating(0, 0, 0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_values_are_rejected() {
+        DeltaStore::with_defaults(base()).append(rating(0, 0, f64::INFINITY, 0.0));
+    }
+
+    #[test]
+    fn a_bad_rating_rejects_its_whole_batch() {
+        for bad in [f64::INFINITY, 0.0] {
+            let store = DeltaStore::with_defaults(base());
+            let batch = [rating(0, 1, 3.0, 1.0), rating(1, 1, bad, 2.0)];
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.append_batch(&batch)
+            }));
+            assert!(outcome.is_err(), "value {bad} must be rejected");
+            assert_eq!(store.publish(), 0, "value {bad}: nothing was pending");
+            assert!(store.snapshot().delta.is_empty(), "value {bad}");
+            let stats = store.stats();
+            assert_eq!(stats.appends, 0, "value {bad}: no append counted");
+            assert_eq!(stats.delta_edges_live, 0, "value {bad}");
+        }
     }
 }

@@ -10,15 +10,21 @@
 //! * **no torn epochs under load** — with appenders, a compactor and
 //!   query threads all running, every request completes, every response
 //!   names its epoch, and every claimed `(epoch, base_version)` pair is
-//!   one the store actually published.
+//!   one the store actually published;
+//! * **the delta rides on the options** — a wrapper that forwards its
+//!   options serves the delta like the bare model, and the non-walk
+//!   families ignore it (correct but stale).
+
+mod common;
 
 use longtail_core::{
-    DpStopping, GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender,
-    ScoringContext,
+    DpStopping, EdgeDelta, GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender,
+    ScoredItem, ScoringContext,
 };
 use longtail_data::{Dataset, Rating};
 use longtail_serve::{
-    DeltaConfig, DeltaRating, DeltaStore, Engine, RecommendRequest, SharedRecommender,
+    DeltaConfig, DeltaRating, DeltaStore, Engine, FaultPlan, FaultyRecommender, RecommendRequest,
+    SharedRecommender,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,9 +67,14 @@ fn appends_change_rankings_at_published_epochs() {
             ..DeltaConfig::default()
         },
     ));
+    // The same HT behind a fault-free wrapper, reading the same store: it
+    // forwards its options, and with them the delta.
+    let wrapped = FaultyRecommender::new(ht(&base), FaultPlan::new());
     let engine = Engine::builder()
         .model("HT", ht(&base))
         .ingest("HT", store.clone())
+        .model("wrapped", Arc::new(wrapped))
+        .ingest("wrapped", store.clone())
         .workers(2)
         .build();
 
@@ -111,6 +122,19 @@ fn appends_change_rankings_at_published_epochs() {
         items_of(&after),
         "a 5-star co-rated item must move user 0's list"
     );
+    for user in 0..N_USERS as u32 {
+        let bare = engine
+            .recommend(&RecommendRequest::new("HT", user, 4).with_stopping(DpStopping::Fixed))
+            .unwrap();
+        let through = engine
+            .recommend(&RecommendRequest::new("wrapped", user, 4).with_stopping(DpStopping::Fixed))
+            .unwrap();
+        assert_eq!(
+            through.items, bare.items,
+            "user {user}: wrapper ≡ bare model"
+        );
+        assert_eq!(through.epoch, bare.epoch, "user {user}");
+    }
 
     // The overlay answer is exactly the rebuilt-on-union answer.
     let mut union_ratings: Vec<Rating> = base.to_ratings();
@@ -299,4 +323,36 @@ fn concurrent_load_never_tears_an_epoch_or_loses_a_request() {
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.ingest.appends, APPENDS as u64);
     assert_eq!(stats.ingest.compactions, COMPACTIONS as u64);
+}
+
+/// The non-walk families serve their frozen base whatever delta the
+/// options carry: items and score bits equal plain `recommend_into`, for
+/// base users, delta-only users and an appended item beyond the catalog.
+#[test]
+fn non_walk_families_ignore_the_delta() {
+    let base = corpus();
+    let mut delta = EdgeDelta::new(N_USERS, N_ITEMS);
+    delta.insert(0, 11, 5.0, 1.0);
+    delta.insert(1, 0, 4.0, 2.0);
+    delta.insert(N_USERS as u32, 3, 5.0, 3.0); // a delta-only user
+    delta.insert(2, N_ITEMS as u32, 5.0, 4.0); // a delta-only item
+    let bits = |list: &[ScoredItem]| -> Vec<(u32, u64)> {
+        list.iter().map(|s| (s.item, s.score.to_bits())).collect()
+    };
+    let opts = RecommendOptions::new();
+    let mut ctx = ScoringContext::new();
+    let (mut plain, mut with_delta) = (Vec::new(), Vec::new());
+    let mut checked = 0;
+    for (name, rec) in common::roster(&base) {
+        if matches!(name, "HT" | "AT" | "AC1" | "AC2") {
+            continue;
+        }
+        for user in 0..=N_USERS as u32 {
+            rec.recommend_into(user, 5, &opts, &mut ctx, &mut plain);
+            rec.recommend_into(user, 5, &opts.delta(&delta), &mut ctx, &mut with_delta);
+            assert_eq!(bits(&with_delta), bits(&plain), "{name} user {user}");
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, 7, "POP, kNN, rules, LDA, PureSVD, PPR and DPPR");
 }
