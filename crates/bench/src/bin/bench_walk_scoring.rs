@@ -26,11 +26,11 @@ use longtail_data::{
 };
 use longtail_eval::{
     catalog_coverage, exposure_counts, gini_concentration, list_recall, novelty, sample_test_users,
-    tail_recall_split, time_open_loop_submission, RecommendationLists, TimingStats,
+    tail_recall_split, RecommendationLists,
 };
 use longtail_serve::{
     BreakerConfig, Engine, FaultKind, FaultPlan, FaultyRecommender, Priority, RecommendRequest,
-    RecommendResponse, RetryPolicy, SchedPolicy, ServeError, SharedRecommender,
+    RetryPolicy, SchedPolicy, ServeError, SharedRecommender,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -578,11 +578,17 @@ fn measure_qos_scheduling(label: &'static str, users: &[u32], model: SharedRecom
             })
             .collect()
     };
-    // One scheduler's pass: (requests/s, Interactive and Batch deadline-hit
-    // rates, every class ledger balances, every served ranking is the
-    // blocking path's).
-    let evaluate = |timing: &TimingStats, results: &[Result<RecommendResponse, ServeError>]| {
-        let stats = timing.engine.expect("engine timer carries stats");
+    // One scheduler's pass, open loop (every request is submitted before
+    // any response is claimed): (requests/s, Interactive and Batch
+    // deadline-hit rates, every class ledger balances, every served ranking
+    // is the blocking path's, the engine's stats for exactly this burst).
+    let evaluate = |engine: &Engine| {
+        let requests = mix_requests();
+        let before = engine.stats();
+        let start = Instant::now();
+        let results = engine.recommend_batch(requests);
+        let seconds = start.elapsed().as_secs_f64();
+        let stats = engine.stats().since(&before);
         let mut rankings_match_blocking = true;
         for (i, result) in results.iter().enumerate() {
             match result {
@@ -612,21 +618,17 @@ fn measure_qos_scheduling(label: &'static str, users: &[u32], model: SharedRecom
             class.served as f64 / class.submitted.max(1) as f64
         };
         (
-            QOS_REQUESTS as f64 / timing.total_seconds,
+            QOS_REQUESTS as f64 / seconds,
             hit_rate(Priority::Interactive),
             hit_rate(Priority::Batch),
             ledger_consistent,
             rankings_match_blocking,
+            stats,
         )
     };
 
-    let (fifo_timing, fifo_results) = time_open_loop_submission(&fifo, mix_requests());
-    let (qos_timing, qos_results) = time_open_loop_submission(&qos, mix_requests());
-    let (fifo_rate, fifo_interactive, fifo_batch, fifo_ledger, fifo_match) =
-        evaluate(&fifo_timing, &fifo_results);
-    let (qos_rate, qos_interactive, qos_batch, qos_ledger, qos_match) =
-        evaluate(&qos_timing, &qos_results);
-    let qos_stats = qos_timing.engine.expect("engine timer carries stats");
+    let (fifo_rate, fifo_interactive, fifo_batch, fifo_ledger, fifo_match, _) = evaluate(&fifo);
+    let (qos_rate, qos_interactive, qos_batch, qos_ledger, qos_match, qos_stats) = evaluate(&qos);
     let interactive = qos_stats.per_class[Priority::Interactive.index()];
     Json::obj([
         ("service_estimate_seconds", estimate.into()),

@@ -36,7 +36,7 @@ pub use quality::{
 pub use recall::{recall_at_n, RecallConfig, RecallCurve};
 pub use report::{format_num, series_to_markdown, Series, Table};
 pub use timing::{
-    time_batch_recommendations, time_batch_scoring, time_open_loop_submission,
-    time_recommendations, time_recommendations_with_stopping, TimingStats,
+    time_batch_recommendations, time_batch_scoring, time_recommendations,
+    time_recommendations_with_stopping, TimingStats,
 };
 pub use user_study::{simulate_study, StudyConfig, StudyResult};

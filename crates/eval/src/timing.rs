@@ -8,9 +8,6 @@
 //! benchmark's (`perfbench/`) to measure.
 
 use longtail_core::{DpStopping, DpTelemetry, RecommendOptions, Recommender, ScoringContext};
-use longtail_serve::{
-    Engine, EngineStats, PendingResponse, RecommendRequest, RecommendResponse, ServeError,
-};
 use std::time::Instant;
 
 /// Wall-clock statistics over a batch of per-user recommendation queries.
@@ -30,13 +27,6 @@ pub struct TimingStats {
     /// recommenders and for [`time_batch_scoring`] (reference scoring runs
     /// no serving DP).
     pub dp: DpTelemetry,
-    /// Engine-level saturation/shed/deadline counters — including the
-    /// per-[`longtail_serve::Priority`]-class QoS ledgers and latency
-    /// histograms — for the timed window, when the timer drove a
-    /// `longtail-serve` [`Engine`] ([`time_open_loop_submission`]); `None`
-    /// for the direct-recommender timers, which have no admission queue to
-    /// account for.
-    pub engine: Option<EngineStats>,
 }
 
 /// Time `recommender` producing top-`k` lists for each user in `users`,
@@ -76,7 +66,6 @@ pub fn time_recommendations_with_stopping(
         total_seconds: total,
         n_queries: users.len(),
         dp: ctx.dp_telemetry(),
-        engine: None,
     }
 }
 
@@ -105,47 +94,7 @@ pub fn time_batch_recommendations(
         total_seconds: total,
         n_queries: users.len(),
         dp,
-        engine: None,
     }
-}
-
-/// Time an open-loop traffic burst through a `longtail-serve` engine's
-/// async front-end: every request is submitted via [`Engine::submit`]
-/// *before* any response is claimed (the open-loop shape — arrivals don't
-/// wait for completions), then the handles are drained in order.
-///
-/// Returns the wall-clock stats plus the per-request outcomes;
-/// `results[j]` answers `requests[j]`, with backpressure and deadline
-/// drops ([`ServeError::Overloaded`] / [`ServeError::DeadlineExceeded`])
-/// in place. The stats carry the engine's [`DpTelemetry`] and
-/// [`EngineStats`] diffs for exactly this burst, so callers can read shed
-/// and deadline counts without owning the engine's whole history.
-pub fn time_open_loop_submission(
-    engine: &Engine,
-    requests: Vec<RecommendRequest>,
-) -> (TimingStats, Vec<Result<RecommendResponse, ServeError>>) {
-    let n = requests.len();
-    let dp_before = engine.telemetry();
-    let stats_before = engine.stats();
-    let start = Instant::now();
-    let pending: Vec<Result<PendingResponse, ServeError>> =
-        requests.into_iter().map(|r| engine.submit(r)).collect();
-    let results: Vec<Result<RecommendResponse, ServeError>> = pending
-        .into_iter()
-        .map(|p| match p {
-            Ok(handle) => handle.wait(),
-            Err(refused) => Err(refused),
-        })
-        .collect();
-    let total = start.elapsed().as_secs_f64();
-    let stats = TimingStats {
-        mean_seconds: if n == 0 { 0.0 } else { total / n as f64 },
-        total_seconds: total,
-        n_queries: n,
-        dp: engine.telemetry().since(&dp_before),
-        engine: Some(engine.stats().since(&stats_before)),
-    };
-    (stats, results)
 }
 
 /// Time [`Recommender::score_batch`] over the whole `users` batch at a given
@@ -171,7 +120,6 @@ pub fn time_batch_scoring(
         total_seconds: total,
         n_queries: users.len(),
         dp: DpTelemetry::default(),
-        engine: None,
     }
 }
 
@@ -261,72 +209,6 @@ mod tests {
             assert_eq!(stats.dp.queries, 3, "{n_threads} threads");
             assert!(stats.dp.iterations_budget > 0);
         }
-    }
-
-    #[test]
-    fn open_loop_timer_surfaces_engine_stats() {
-        use longtail_serve::Engine;
-        use std::sync::Arc;
-        let d = Dataset::from_ratings(
-            2,
-            2,
-            &[
-                Rating {
-                    user: 0,
-                    item: 0,
-                    value: 5.0,
-                },
-                Rating {
-                    user: 1,
-                    item: 1,
-                    value: 4.0,
-                },
-            ],
-        );
-        let engine = Engine::builder()
-            .model(
-                "HT",
-                Arc::new(HittingTimeRecommender::new(&d, GraphRecConfig::default())),
-            )
-            .workers(1)
-            .build();
-        // A mixed burst: two live requests (one Batch-class) and one
-        // already-expired Interactive request.
-        let requests = vec![
-            RecommendRequest::new("HT", 0, 1),
-            RecommendRequest::new("HT", 1, 1).deadline_at(std::time::Instant::now()),
-            RecommendRequest::new("HT", 1, 1).with_priority(longtail_serve::Priority::Batch),
-        ];
-        let (stats, results) = time_open_loop_submission(&engine, requests);
-        assert_eq!(stats.n_queries, 3);
-        assert!(results[0].is_ok() && results[2].is_ok());
-        assert_eq!(
-            results[1],
-            Err(longtail_serve::ServeError::DeadlineExceeded)
-        );
-        let engine_stats = stats.engine.expect("engine timer carries EngineStats");
-        assert_eq!(engine_stats.submitted, 3);
-        assert_eq!(engine_stats.completed, 2);
-        assert_eq!(engine_stats.expired_at_dequeue, 1);
-        // The per-class QoS ledgers ride the same diff: each class balances
-        // (`submitted = served + shed + expired + failed`) and the served
-        // requests' latencies surface as percentiles.
-        let interactive = engine_stats.per_class[longtail_serve::Priority::Interactive.index()];
-        let batch = engine_stats.per_class[longtail_serve::Priority::Batch.index()];
-        assert_eq!(interactive.submitted, 2);
-        assert_eq!(interactive.served, 1);
-        assert_eq!(interactive.expired, 1);
-        assert_eq!(batch.submitted, 1);
-        assert_eq!(batch.served, 1);
-        assert!(interactive.latency_p50().is_some());
-        assert!(batch.latency_p99().unwrap() >= batch.latency_p50().unwrap());
-        // The DP telemetry diff covers only the completed walk queries.
-        assert_eq!(stats.dp.queries, 2);
-
-        // A second burst's diff starts from zero, not engine lifetime.
-        let (stats, _) =
-            time_open_loop_submission(&engine, vec![RecommendRequest::new("HT", 0, 1)]);
-        assert_eq!(stats.engine.unwrap().submitted, 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::router::ShardRouter;
 use crate::sched::{Priority, SchedPolicy, ServiceEwma};
 use crate::submit::{EngineCounters, EngineStats, PendingResponse};
 use longtail_core::{
-    DpStopping, DpTelemetry, RecommendOptions, Recommender, RerankIndex, RerankPolicy, Reranker,
+    DpTelemetry, RecommendOptions, Recommender, RerankIndex, RerankPolicy, Reranker,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -134,14 +134,17 @@ impl ModelSlot {
     /// call route to it, requests already holding the previous `Arc`
     /// finish on the version they resolved. Returns the new version
     /// number.
+    ///
+    /// Lock order: an ingest store's state, then this slot's history, then
+    /// its active version. A compaction commit publishes under the store
+    /// lock; `records` takes history → active and an ingest read's pin
+    /// takes store → active, so no path takes them in reverse.
     fn publish(
         &self,
         rec: SharedRecommender,
         breaker_config: Option<BreakerConfig>,
         provenance: ModelProvenance,
     ) -> u32 {
-        // Lock order: history before active (matched by `records`, the
-        // only other place both are held).
         let mut history = self.history.lock();
         let version = history.last().map_or(0, |r| r.version) + 1;
         let fresh = Arc::new(ModelVersion {
@@ -238,10 +241,11 @@ impl ModelEntry {
 /// threads.
 struct EngineCore {
     models: HashMap<String, ModelEntry>,
-    /// Streaming-ingest stores by registry name: requests for these models
-    /// serve base + delta-overlay at a pinned `(version, epoch)` pair, and
-    /// [`Engine::compact_and_deploy`] folds their deltas into rebuilt
-    /// bases.
+    /// Streaming-ingest stores by registry name, one store per unsharded
+    /// model: requests for these models serve base + delta-overlay at a
+    /// pinned `(version, epoch)` pair, and [`Engine::compact_and_deploy`]
+    /// folds their deltas into rebuilt bases (the only way their versions
+    /// advance).
     deltas: HashMap<String, Arc<DeltaStore>>,
     /// Degraded-mode routing: primary registry name → fallback registry
     /// name, consulted when the primary's breaker is open or its retries
@@ -251,17 +255,14 @@ struct EngineCore {
     /// version gets a fresh breaker armed the same way as build-time ones
     /// (`None` = breakers disabled, including on deployed versions).
     breaker_config: Option<BreakerConfig>,
-    default_stopping: DpStopping,
     default_retry: RetryPolicy,
     /// Long-tail re-rank indexes by registry name: a request is only
     /// re-ranked when its routed model has one (the index is built against
     /// that model's training graph, so applying it elsewhere would score
     /// similarity on the wrong bipartite structure).
     rerank_indexes: HashMap<String, Arc<RerankIndex>>,
-    /// Engine-wide re-rank default, the last resort of the resolution
-    /// chain: request override → QoS-class default → this.
-    default_rerank: Option<RerankPolicy>,
-    /// Per-QoS-class re-rank defaults, indexed by [`Priority::index`].
+    /// Per-QoS-class re-rank defaults, indexed by [`Priority::index`]: the
+    /// fallback of a request with no re-rank override of its own.
     class_rerank: [Option<RerankPolicy>; Priority::COUNT],
     contexts: ContextPool,
     /// Engine-lifetime [`DpTelemetry`], merged across every request served
@@ -364,34 +365,18 @@ impl EngineCore {
         // served entirely by (and attributed to) one version.
         //
         // With a delta store attached, the pin is the *pair* (version,
-        // delta epoch), taken by the loop below: a delta snapshot is only
-        // accepted when its `base_version` matches the resolved version,
-        // so a request can never score a delta against the wrong base —
-        // not even in the window where a compaction has published the
-        // rebuilt model but not yet committed the residual delta. The
-        // mismatch window is the microseconds between those two steps, so
-        // the loop converges immediately; the bounded fallback (serve the
-        // pinned base without the delta, no epoch claimed) only triggers
-        // if an out-of-band `deploy` permanently desynced the store.
+        // delta epoch), taken in one critical section under the store's
+        // lock. A compaction publishes its model under that lock too, so
+        // the snapshot always overlays the pinned version.
         let (version, shard, snap) = match self.deltas.get(&req.model) {
             None => {
                 let (version, shard) = entry.resolve(req.user);
                 (version, shard, None)
             }
             Some(store) => {
-                let mut spins = 0u32;
-                loop {
-                    let (version, shard) = entry.resolve(req.user);
-                    let snap = store.snapshot();
-                    if snap.base_version == version.version {
-                        break (version, shard, Some(snap));
-                    }
-                    spins += 1;
-                    if spins >= 1024 {
-                        break (version, shard, None);
-                    }
-                    std::thread::yield_now();
-                }
+                let ((version, shard), snap) = store.pin(|| entry.resolve(req.user));
+                debug_assert_eq!(snap.base_version, version.version);
+                (version, shard, Some(snap))
             }
         };
 
@@ -422,13 +407,12 @@ impl EngineCore {
             opts = opts.delta(&snap.delta);
         }
         // Resolve the effective re-rank policy: request override → the
-        // request's QoS-class default → the engine-wide default. It binds
-        // only when the routed model has a rerank index registered — the
-        // index is built on that model's training graph.
+        // request's QoS-class default. It binds only when the routed model
+        // has a rerank index registered — the index is built on that
+        // model's training graph.
         if let Some(policy) = req
             .rerank
             .or(self.class_rerank[req.priority.index()])
-            .or(self.default_rerank)
             .filter(|p| p.is_enabled())
         {
             if let Some(index) = self.rerank_indexes.get(&req.model) {
@@ -531,13 +515,13 @@ impl EngineCore {
     }
 
     /// The serving options every model answering `req` shares: its
-    /// stopping policy (or the engine default), exclusions, deadline and
+    /// stopping policy (or the adaptive default), exclusions, deadline and
     /// recency decay. The request's exclusion set was normalized once at
     /// build time (`RecommendRequest::excluding`), so every attempt —
     /// retries and fallback included — borrows it for free.
     fn request_options<'r>(&self, req: &'r RecommendRequest) -> RecommendOptions<'r> {
         let mut opts = RecommendOptions::new()
-            .stopping(req.stopping.unwrap_or(self.default_stopping))
+            .stopping(req.stopping.unwrap_or_default())
             .exclude(&req.exclude);
         opts.deadline = req.deadline;
         opts.recency = req.recency;
@@ -558,15 +542,14 @@ impl EngineCore {
         let mut ctx = self.contexts.checkout();
         let before = ctx.dp_telemetry();
         let mut items = Vec::new();
-        // A panicking query (a faulty model, or a non-walk family asked for
-        // a user id outside its training data — the walk families serve
-        // such a user an empty list) must not take a long-lived pool
-        // worker — or a whole batch — down with it: catch it and fail only
-        // this attempt. The context is NOT checked back in on panic (its
-        // buffers may be mid-update); dropping it costs one warm context,
-        // nothing else. The shared state touched below the
-        // catch (pool, aggregate) is only ever locked around non-panicking
-        // code, so observing it after an unwind is sound.
+        // A panicking query (a faulty or buggy model; every built-in family
+        // serves a user id outside its training data an empty list) must
+        // not take a long-lived pool worker — or a whole batch — down with
+        // it: catch it and fail only this attempt. The context is NOT
+        // checked back in on panic (its buffers may be mid-update); dropping
+        // it costs one warm context, nothing else. The shared state touched
+        // below the catch (pool, aggregate) is only ever locked around
+        // non-panicking code, so observing it after an unwind is sound.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             version
                 .rec
@@ -964,6 +947,11 @@ impl Engine {
     /// Panics if `name` is registered as a sharded group — shard deploys
     /// must name their shard via [`Engine::deploy_shard`] (deploying one
     /// model over N shards is a topology change, not a version bump).
+    ///
+    /// Panics if `name` has an ingest store attached
+    /// ([`EngineBuilder::ingest`]): its delta is relative to the store's
+    /// base dataset, which a model built elsewhere need not share, so its
+    /// versions come only from [`Engine::compact_and_deploy`].
     pub fn deploy(&self, name: &str, rec: SharedRecommender) -> Result<u32, ServeError> {
         self.deploy_from(name, rec, ModelProvenance::InProcess)
     }
@@ -972,12 +960,20 @@ impl Engine {
     /// [`ModelProvenance::Snapshot`] when the model was loaded from a
     /// snapshot file so [`Engine::health`] can report where each live
     /// version came from.
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::deploy`]: if `name` is sharded or has an ingest store.
     pub fn deploy_from(
         &self,
         name: &str,
         rec: SharedRecommender,
         provenance: ModelProvenance,
     ) -> Result<u32, ServeError> {
+        assert!(
+            !self.core.deltas.contains_key(name),
+            "model {name:?} has an ingest store; deploy it with compact_and_deploy"
+        );
         match self.core.models.get(name) {
             None => Err(ServeError::UnknownModel(name.to_string())),
             Some(ModelEntry::Single(slot)) => {
@@ -1034,13 +1030,6 @@ impl Engine {
         }
     }
 
-    /// The streaming-ingest store attached to model `name`
-    /// ([`crate::EngineBuilder::ingest`]), for appending ratings and
-    /// reading ingest state; `None` when the model has no ingest.
-    pub fn delta_store(&self, name: &str) -> Option<&Arc<DeltaStore>> {
-        self.core.deltas.get(name)
-    }
-
     /// Fold model `name`'s accumulated delta into a freshly built base and
     /// hot-swap it in — the compaction step of the streaming-ingest loop.
     ///
@@ -1051,16 +1040,17 @@ impl Engine {
     /// 2. **Build** (no locks): `build(&union)` constructs the new model —
     ///    the expensive part; appends and queries proceed untouched, served
     ///    by the old base + the still-growing delta.
-    /// 3. **Commit** (store lock, microseconds): publish the new model
-    ///    through the [`Engine::deploy`] hot-swap path as version `v+1`,
-    ///    swap in the residual delta (appends that raced the build),
-    ///    advance the epoch and log `(epoch, v+1)`.
+    /// 3. **Commit** (store lock, microseconds): hot-swap the new model
+    ///    into the model's slot as version `v+1`, swap in the residual
+    ///    delta (appends that raced the build) and advance the epoch, so
+    ///    `(epoch, v+1)` joins the [`DeltaStore::epoch_log`].
     ///
     /// Zero lost requests: in-flight queries finish on the `(version,
-    /// epoch)` pair they pinned; queries landing in the publish→commit
-    /// window retry their pin (see `execute`) and come out on the new
-    /// pair; appends racing the build survive as the residual delta.
-    /// Concurrent compactions of one store serialize.
+    /// epoch)` pair they pinned. Queries pin that pair under the store
+    /// lock, so each one lands wholly before or wholly after the commit,
+    /// never between the publish and the delta swap. Appends racing the
+    /// build survive as the residual delta. Concurrent compactions of one
+    /// store serialize.
     ///
     /// Errors with [`ServeError::UnknownModel`] if `name` has no ingest
     /// store attached.
@@ -1080,12 +1070,16 @@ impl Engine {
             .deltas
             .get(name)
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
+        let Some(ModelEntry::Single(slot)) = self.core.models.get(name) else {
+            unreachable!("build() attaches ingest stores to unsharded models only")
+        };
         let _serialize = store.lock_for_compaction();
         let (union, folded) = store.begin_compaction();
         let rec = build(&union);
         let commit_started = Instant::now();
-        let version = self.deploy(name, rec)?;
-        let (epoch, remaining) = store.commit_compaction(union, version);
+        let (version, epoch, remaining) = store.commit_compaction(union, || {
+            slot.publish(rec, self.core.breaker_config, ModelProvenance::InProcess)
+        });
         Ok(CompactionReport {
             version,
             epoch,
@@ -1297,11 +1291,8 @@ pub struct EngineBuilder {
     fallbacks: HashMap<String, String>,
     deltas: HashMap<String, Arc<DeltaStore>>,
     workers: Option<usize>,
-    max_idle_contexts: Option<usize>,
-    default_stopping: DpStopping,
     default_retry: RetryPolicy,
     rerank_indexes: HashMap<String, Arc<RerankIndex>>,
-    default_rerank: Option<RerankPolicy>,
     class_rerank: [Option<RerankPolicy>; Priority::COUNT],
     breakers: Option<BreakerConfig>,
     queue_capacity: usize,
@@ -1337,11 +1328,8 @@ impl EngineBuilder {
             fallbacks: HashMap::new(),
             deltas: HashMap::new(),
             workers: None,
-            max_idle_contexts: None,
-            default_stopping: DpStopping::default(),
             default_retry: RetryPolicy::default(),
             rerank_indexes: HashMap::new(),
-            default_rerank: None,
             class_rerank: [None; Priority::COUNT],
             breakers: None,
             queue_capacity: Self::DEFAULT_QUEUE_CAPACITY,
@@ -1417,11 +1405,17 @@ impl EngineBuilder {
     /// [`RecommendResponse::epoch`]), and
     /// [`Engine::compact_and_deploy`] folds the delta into rebuilt bases.
     /// The store should be constructed over the same dataset the model was
-    /// trained on. Keep a clone of the `Arc` (or fetch it back via
-    /// [`Engine::delta_store`]) to append ratings.
+    /// trained on. Keep a clone of the `Arc` to append ratings.
     ///
-    /// Build-time panics if `name` is unregistered or sharded (per-shard
-    /// ingest is a topology question this store does not answer).
+    /// From then on the model's versions come only from compaction:
+    /// [`Engine::deploy`] panics for it.
+    ///
+    /// # Panics
+    ///
+    /// [`EngineBuilder::build`] panics if `name` is unregistered or
+    /// sharded (per-shard ingest is a topology question this store does
+    /// not answer), or if the same store (the same `Arc`) is attached to
+    /// two names: a store's delta and epochs belong to one model.
     pub fn ingest(mut self, name: impl Into<String>, store: Arc<DeltaStore>) -> Self {
         self.deltas.insert(name.into(), store);
         self
@@ -1455,22 +1449,15 @@ impl EngineBuilder {
     /// Attach a long-tail [`RerankIndex`] to the registered model `name`.
     /// Requests routed to that model are re-ranked whenever an enabled
     /// [`RerankPolicy`] resolves for them (request override →
-    /// [`EngineBuilder::class_rerank`] → [`EngineBuilder::default_rerank`]);
-    /// models without an index always serve raw fused order. The index
-    /// must be built over the same training data as the model — its
-    /// similarity and popularity statistics describe that graph.
+    /// [`EngineBuilder::class_rerank`]; an engine-wide default is the same
+    /// policy set on every class); models without an index always serve
+    /// raw fused order. The index must be built over the same training
+    /// data as the model — its similarity and popularity statistics
+    /// describe that graph.
     ///
     /// Build-time panics if `name` is unregistered.
     pub fn rerank_index(mut self, name: impl Into<String>, index: Arc<RerankIndex>) -> Self {
         self.rerank_indexes.insert(name.into(), index);
-        self
-    }
-
-    /// The engine-wide default [`RerankPolicy`], applied to requests that
-    /// carry no override and whose QoS class sets none. Defaults to no
-    /// re-ranking.
-    pub fn default_rerank(mut self, policy: RerankPolicy) -> Self {
-        self.default_rerank = Some(policy);
         self
     }
 
@@ -1541,21 +1528,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Cap on idle [`longtail_core::ScoringContext`]s the engine retains
-    /// between requests. Defaults to `workers + 2` (every worker plus a
-    /// couple of inline callers stay warm).
-    pub fn max_idle_contexts(mut self, n: usize) -> Self {
-        self.max_idle_contexts = Some(n);
-        self
-    }
-
-    /// The [`DpStopping`] applied to requests that don't override it.
-    /// Defaults to [`DpStopping::adaptive`].
-    pub fn default_stopping(mut self, stopping: DpStopping) -> Self {
-        self.default_stopping = stopping;
-        self
-    }
-
     /// Spawn the worker pool and finish the engine.
     ///
     /// # Panics
@@ -1563,8 +1535,9 @@ impl EngineBuilder {
     /// Panics if a [`EngineBuilder::fallback`] registration names an
     /// unregistered model, maps a model to itself, an
     /// [`EngineBuilder::ingest`] attachment names an unregistered or
-    /// sharded model, or a [`EngineBuilder::rerank_index`] attachment
-    /// names an unregistered model.
+    /// sharded model or shares its store with another name, or a
+    /// [`EngineBuilder::rerank_index`] attachment names an unregistered
+    /// model.
     pub fn build(self) -> Engine {
         for name in self.rerank_indexes.keys() {
             assert!(
@@ -1572,13 +1545,22 @@ impl EngineBuilder {
                 "rerank index attached to unknown model {name:?}"
             );
         }
-        for name in self.deltas.keys() {
+        for (name, store) in &self.deltas {
             match self.models.get(name) {
                 Some(BuilderEntry::Single(..)) => {}
                 Some(BuilderEntry::Sharded { .. }) => {
                     panic!("ingest store attached to sharded model {name:?}; ingest requires an unsharded registration")
                 }
                 None => panic!("ingest store attached to unknown model {name:?}"),
+            }
+            if let Some((other, _)) = self
+                .deltas
+                .iter()
+                .find(|&(other, s)| other != name && Arc::ptr_eq(s, store))
+            {
+                panic!(
+                    "models {name:?} and {other:?} share one ingest store; attach one store per model"
+                );
             }
         }
         for (primary, fallback) in &self.fallbacks {
@@ -1623,12 +1605,11 @@ impl EngineBuilder {
             deltas: self.deltas,
             fallbacks: self.fallbacks,
             breaker_config: breakers,
-            default_stopping: self.default_stopping,
             default_retry: self.default_retry,
             rerank_indexes: self.rerank_indexes,
-            default_rerank: self.default_rerank,
             class_rerank: self.class_rerank,
-            contexts: ContextPool::new(self.max_idle_contexts.unwrap_or(workers + 2)),
+            // Every worker plus a couple of inline callers stay warm.
+            contexts: ContextPool::new(workers + 2),
             aggregate: Mutex::new(DpTelemetry::default()),
             counters: EngineCounters::default(),
             workers_dead: AtomicU64::new(0),

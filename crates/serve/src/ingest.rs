@@ -12,18 +12,20 @@
 //! [`longtail_core::RecommendOptions::delta`]; snapshots taken
 //! mid-publish see either the old or the new epoch, never a mix.
 //!
-//! **Epoch/version coupling** is the torn-swap defence: every snapshot
-//! carries the `base_version` its delta is relative to, and the engine
-//! only serves a snapshot whose `base_version` matches the model version
-//! it pinned ([`crate::Engine::compact_and_deploy`] swaps both under the
-//! store lock). The `(epoch, base_version)` pairs ever valid are recorded
-//! in the [`DeltaStore::epoch_log`], which concurrent tests check every
-//! response against.
+//! **Epoch/version coupling** is structural: all store state sits under
+//! one lock, and both halves of an engine read's pin happen inside it.
+//! The engine resolves the model version and takes the delta snapshot in
+//! one critical section, and a compaction commit publishes the rebuilt
+//! model to its slot under the same lock before it swaps in the residual
+//! delta. So every snapshot's `base_version` is the version the read
+//! pinned, and no other path publishes versions of an ingest model:
+//! [`crate::Engine::deploy`] refuses one. The `(epoch, base_version)`
+//! pairs ever valid are listed by [`DeltaStore::epoch_log`], which
+//! concurrent tests check every response against.
 
 use longtail_core::EdgeDelta;
 use longtail_data::{Dataset, TimedRating};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One streamed rating append.
@@ -65,8 +67,8 @@ impl Default for DeltaConfig {
     }
 }
 
-/// The mutable half of a [`DeltaStore`], guarded by one mutex so epoch,
-/// delta, base and version always change together.
+/// All mutable state of a [`DeltaStore`], guarded by one mutex so epoch,
+/// delta, base, version and counters always change together.
 struct DeltaState {
     /// The dataset the current base model was built from — the left half
     /// of the next compaction's union.
@@ -83,9 +85,23 @@ struct DeltaState {
     epoch: u64,
     /// The model version `delta` is relative to.
     base_version: u32,
-    /// Every `(epoch, base_version)` pairing that was ever current —
-    /// the consistency oracle for concurrent tests.
-    epoch_log: Vec<(u64, u32)>,
+    /// `(first epoch, version)` of every base, oldest first: one entry per
+    /// compaction, expanded by [`DeltaStore::epoch_log`].
+    bases: Vec<(u64, u32)>,
+    /// Rating appends accepted.
+    appends: u64,
+    /// Compaction commits.
+    compactions: u64,
+}
+
+impl DeltaState {
+    fn snapshot(&self) -> DeltaSnapshot {
+        DeltaSnapshot {
+            epoch: self.epoch,
+            base_version: self.base_version,
+            delta: Arc::clone(&self.delta),
+        }
+    }
 }
 
 /// A consistent view of the store at one epoch: the published delta, its
@@ -172,9 +188,6 @@ pub struct DeltaStore {
     config: DeltaConfig,
     /// Serializes compaction runs; queries and appends never take it.
     compaction: Mutex<()>,
-    appends: AtomicU64,
-    compactions: AtomicU64,
-    epochs_published: AtomicU64,
 }
 
 impl DeltaStore {
@@ -192,13 +205,12 @@ impl DeltaStore {
                 since_fold: Vec::new(),
                 epoch: 0,
                 base_version: 1,
-                epoch_log: vec![(0, 1)],
+                bases: vec![(0, 1)],
+                appends: 0,
+                compactions: 0,
             }),
             config,
             compaction: Mutex::new(()),
-            appends: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            epochs_published: AtomicU64::new(0),
         }
     }
 
@@ -218,8 +230,8 @@ impl DeltaStore {
     /// contract as [`EdgeDelta::insert`]); the store is then untouched.
     pub fn append(&self, rating: DeltaRating) -> u64 {
         check_value(&rating);
-        self.appends.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock();
+        state.appends += 1;
         state.pending.push(rating);
         state.since_fold.push(rating);
         if state.pending.len() >= self.config.publish_every {
@@ -239,9 +251,8 @@ impl DeltaStore {
     /// untouched: no rating of the batch is accepted or counted.
     pub fn append_batch(&self, ratings: &[DeltaRating]) -> u64 {
         ratings.iter().for_each(check_value);
-        self.appends
-            .fetch_add(ratings.len() as u64, Ordering::Relaxed);
         let mut state = self.state.lock();
+        state.appends += ratings.len() as u64;
         for &rating in ratings {
             state.pending.push(rating);
             state.since_fold.push(rating);
@@ -272,21 +283,22 @@ impl DeltaStore {
         }
         state.delta = Arc::new(fresh);
         state.epoch += 1;
-        let entry = (state.epoch, state.base_version);
-        state.epoch_log.push(entry);
-        self.epochs_published.fetch_add(1, Ordering::Relaxed);
         state.epoch
     }
 
     /// Pin the store's current view: delta contents, their epoch, and the
     /// model version they overlay.
     pub fn snapshot(&self) -> DeltaSnapshot {
+        self.state.lock().snapshot()
+    }
+
+    /// Pin an engine read: run `resolve` (the engine's version
+    /// resolution) and take the snapshot in one critical section. A
+    /// compaction commit publishes its model under the same lock, so the
+    /// snapshot's `base_version` is the version `resolve` returned.
+    pub(crate) fn pin<V>(&self, resolve: impl FnOnce() -> V) -> (V, DeltaSnapshot) {
         let state = self.state.lock();
-        DeltaSnapshot {
-            epoch: state.epoch,
-            base_version: state.base_version,
-            delta: Arc::clone(&state.delta),
-        }
+        (resolve(), state.snapshot())
     }
 
     /// Current epoch.
@@ -307,23 +319,30 @@ impl DeltaStore {
     }
 
     /// Every `(epoch, base_version)` pairing that was ever current,
-    /// oldest first. A response claiming `(version, epoch)` is torn iff
-    /// the pair is absent here.
+    /// oldest first: each epoch from 0 to the current one, with the base
+    /// it was published over. A response claiming `(version, epoch)` is
+    /// torn iff the pair is absent here.
     pub fn epoch_log(&self) -> Vec<(u64, u32)> {
-        self.state.lock().epoch_log.clone()
+        let state = self.state.lock();
+        let ends = state.bases.iter().skip(1).map(|&(first, _)| first);
+        state
+            .bases
+            .iter()
+            .zip(ends.chain([state.epoch + 1]))
+            .flat_map(|(&(first, version), end)| (first..end).map(move |e| (e, version)))
+            .collect()
     }
 
     /// Point-in-time ingest counters (see [`IngestStats`]).
     pub fn stats(&self) -> IngestStats {
-        let live = {
-            let state = self.state.lock();
-            (state.delta.n_edges() + state.pending.len()) as u64
-        };
+        let state = self.state.lock();
         IngestStats {
-            appends: self.appends.load(Ordering::Relaxed),
-            delta_edges_live: live,
-            compactions: self.compactions.load(Ordering::Relaxed),
-            epochs_published: self.epochs_published.load(Ordering::Relaxed),
+            appends: state.appends,
+            delta_edges_live: (state.delta.n_edges() + state.pending.len()) as u64,
+            compactions: state.compactions,
+            // Every publish and every commit advances the epoch by one
+            // from 0, so the epoch counts them.
+            epochs_published: state.epoch,
         }
     }
 
@@ -342,13 +361,20 @@ impl DeltaStore {
         (union_dataset(&state.base, &state.delta), folded)
     }
 
-    /// Compaction phase 2 — the **commit**: swap in the rebuilt base
-    /// (already published to the model slot as `version` by the caller,
-    /// atomically with this call under the store lock), replay the
-    /// appends that raced the rebuild onto a fresh residual delta, and
-    /// advance the epoch. Returns `(epoch, residual_edges)`.
-    pub(crate) fn commit_compaction(&self, union: Dataset, version: u32) -> (u64, usize) {
+    /// Compaction phase 2 — the **commit**, under the store lock:
+    /// `publish` hot-swaps the rebuilt model into its slot and returns its
+    /// version; then the rebuilt base and a fresh residual delta (the
+    /// appends that raced the rebuild) are swapped in and the epoch
+    /// advances. Reads pin under the same lock, so none sees the new
+    /// version without the new delta. Returns `(version, epoch,
+    /// residual_edges)`.
+    pub(crate) fn commit_compaction(
+        &self,
+        union: Dataset,
+        publish: impl FnOnce() -> u32,
+    ) -> (u32, u64, usize) {
         let mut state = self.state.lock();
+        let version = publish();
         let mut residual = EdgeDelta::new(union.n_users(), union.n_items());
         for r in &state.since_fold {
             residual.insert(r.user, r.item, r.value, r.timestamp);
@@ -360,10 +386,9 @@ impl DeltaStore {
         state.base_version = version;
         state.epoch += 1;
         let entry = (state.epoch, version);
-        state.epoch_log.push(entry);
-        self.epochs_published.fetch_add(1, Ordering::Relaxed);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        (state.epoch, remaining)
+        state.bases.push(entry);
+        state.compactions += 1;
+        (version, state.epoch, remaining)
     }
 
     /// The compaction guard: [`crate::Engine::compact_and_deploy`] holds
@@ -550,7 +575,8 @@ mod tests {
         assert_eq!(union.n_ratings(), 4);
         // An append racing the rebuild becomes the residual.
         store.append(rating(1, 0, 2.0, 2.0));
-        let (epoch, remaining) = store.commit_compaction(union, 2);
+        let (version, epoch, remaining) = store.commit_compaction(union, || 2);
+        assert_eq!(version, 2);
         assert_eq!(remaining, 1);
         assert_eq!(store.base_version(), 2);
         let snap = store.snapshot();
@@ -560,6 +586,36 @@ mod tests {
         let log = store.epoch_log();
         assert!(log.contains(&(epoch, 2)));
         assert_eq!(store.stats().compactions, 1);
+    }
+
+    #[test]
+    fn epoch_log_retains_one_entry_per_base() {
+        let store = DeltaStore::new(
+            base(),
+            DeltaConfig {
+                publish_every: 1,
+                ..DeltaConfig::default()
+            },
+        );
+        let mut want = vec![(0, 1)];
+        let mut version = 1;
+        for i in 0..1000u32 {
+            if i == 400 || i == 700 {
+                let (union, _) = store.begin_compaction();
+                version += 1;
+                let (_, epoch, _) = store.commit_compaction(union, || version);
+                want.push((epoch, version));
+            }
+            let epoch = store.append(rating(i % 2, (i / 2) % 2, 1.0, i as f64));
+            want.push((epoch, version));
+        }
+        assert_eq!(
+            want.len(),
+            1003,
+            "1000 publishes and 2 commits after epoch 0"
+        );
+        assert_eq!(store.epoch_log(), want);
+        assert_eq!(store.state.lock().bases.len(), 3, "one entry per base");
     }
 
     #[test]

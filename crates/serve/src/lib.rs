@@ -62,7 +62,7 @@
 //!   become visible at published **epochs** without rebuilding the base,
 //!   every response names the `(version, epoch)` pair it scored at, and
 //!   [`Engine::compact_and_deploy`] periodically folds the delta into a
-//!   freshly built base published through the hot-swap deploy path —
+//!   freshly built base, hot-swapped in under the store's lock —
 //!   in-flight queries stay pinned to their epoch, zero lost requests.
 //!
 //! Engine output is pinned — by equivalence property tests — to be

@@ -80,8 +80,9 @@ impl RetryPolicy {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct RecommendRequest {
-    /// The query user id (must be a user of the routed model's training
-    /// data; ids outside it are a caller bug, like indexing out of bounds).
+    /// The query user id. An id outside the routed model's training data
+    /// is a user with no ratings: every built-in family serves it an empty
+    /// list (a delta overlay may give it ratings).
     pub user: u32,
     /// List length.
     pub k: usize,
@@ -89,7 +90,7 @@ pub struct RecommendRequest {
     /// from.
     pub model: String,
     /// Per-request stopping override for the walk family's serving DP;
-    /// `None` uses the engine's default policy.
+    /// `None` uses [`DpStopping::default`] (adaptive).
     pub stopping: Option<DpStopping>,
     /// Request-scoped exclusions merged with the user's training items.
     /// [`RecommendRequest::excluding`] accepts any order and duplicates and
@@ -114,9 +115,8 @@ pub struct RecommendRequest {
     /// uniformly and the ranking is unchanged.
     pub recency: Option<RecencyDecay>,
     /// Per-request re-rank override for the long-tail quality stage.
-    /// `None` defers to the engine's per-class and engine-wide defaults
-    /// ([`crate::EngineBuilder::class_rerank`] /
-    /// [`crate::EngineBuilder::default_rerank`]); a `Some` policy with
+    /// `None` defers to the request's QoS-class default
+    /// ([`crate::EngineBuilder::class_rerank`]); a `Some` policy with
     /// [`RerankPolicy::is_enabled`]` == false` explicitly turns re-ranking
     /// *off* for this request. Re-ranking only applies to models the engine
     /// holds a [`longtail_core::RerankIndex`] for
@@ -134,7 +134,7 @@ pub struct RecommendRequest {
 }
 
 impl RecommendRequest {
-    /// A plain request: engine-default stopping, no extra exclusions.
+    /// A plain request: adaptive stopping, no extra exclusions.
     pub fn new(model: impl Into<String>, user: u32, k: usize) -> Self {
         Self {
             user,
@@ -150,7 +150,7 @@ impl RecommendRequest {
         }
     }
 
-    /// Override the engine's default stopping policy for this request.
+    /// Override the default (adaptive) stopping policy for this request.
     pub fn with_stopping(mut self, stopping: DpStopping) -> Self {
         self.stopping = Some(stopping);
         self
@@ -257,8 +257,8 @@ pub struct RecommendResponse {
 pub enum ServeError {
     /// The request named a model the engine has no registration for.
     UnknownModel(String),
-    /// The query panicked while being served (e.g. a user id outside the
-    /// routed model's training data). The engine survives — pool workers
+    /// The query panicked while being served (a faulty or buggy model).
+    /// The engine survives — pool workers
     /// keep running and later requests are unaffected — and the panic
     /// message is preserved here; the panic hook still logs to stderr.
     RequestPanicked(String),

@@ -13,6 +13,8 @@
 //!   cancels the walk cooperatively (`expired_in_dp`).
 //! * **Bounded-time shutdown** — dropping the engine cancels queued
 //!   not-yet-started requests instead of serving the backlog.
+//! * **Burst accounting** — `EngineStats::since` and
+//!   `DpTelemetry::since` scope the engine's ledgers to one burst.
 //!
 //! The deterministic full-queue/shutdown tests drive the shared
 //! `common::GatedRecommender`: a wrapper that parks inside
@@ -25,7 +27,8 @@ use longtail_core::{
 };
 use longtail_data::Dataset;
 use longtail_serve::{
-    AdmissionPolicy, Engine, PendingResponse, RecommendRequest, ServeError, SharedRecommender,
+    AdmissionPolicy, Engine, PendingResponse, Priority, RecommendRequest, ServeError,
+    SharedRecommender,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -313,4 +316,56 @@ fn fixed_stopping_override_with_deadline_still_serves_exact_lists() {
     );
     assert_eq!(deadlined.items, direct);
     assert_eq!(items_of(&deadlined.items), items_of(&direct));
+}
+
+/// An open-loop burst through `recommend_batch` (every request submitted
+/// before any is claimed): the stats and telemetry diffs cover exactly
+/// that burst, the per-class QoS ledgers balance, and served requests'
+/// latencies surface as percentiles.
+#[test]
+fn stats_since_scopes_one_batch_burst() {
+    let engine = Engine::builder()
+        .model(
+            "HT",
+            Arc::new(HittingTimeRecommender::new(
+                &tiny_dataset(),
+                GraphRecConfig::default(),
+            )),
+        )
+        .workers(1)
+        .build();
+    // A mixed burst: two live requests (one Batch-class) and one
+    // already-expired Interactive request.
+    let requests = vec![
+        RecommendRequest::new("HT", 0, 1),
+        RecommendRequest::new("HT", 1, 1).deadline_at(Instant::now()),
+        RecommendRequest::new("HT", 1, 1).with_priority(Priority::Batch),
+    ];
+    let (stats_before, dp_before) = (engine.stats(), engine.telemetry());
+    let results = engine.recommend_batch(requests);
+    assert!(results[0].is_ok() && results[2].is_ok());
+    assert_eq!(results[1], Err(ServeError::DeadlineExceeded));
+    let stats = engine.stats().since(&stats_before);
+    assert_eq!(stats.submitted, 3);
+    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.expired_at_dequeue, 1);
+    // The per-class QoS ledgers ride the same diff: each class balances
+    // (`submitted = served + shed + expired + failed`) and the served
+    // requests' latencies surface as percentiles.
+    let interactive = stats.per_class[Priority::Interactive.index()];
+    let batch = stats.per_class[Priority::Batch.index()];
+    assert_eq!(interactive.submitted, 2);
+    assert_eq!(interactive.served, 1);
+    assert_eq!(interactive.expired, 1);
+    assert_eq!(batch.submitted, 1);
+    assert_eq!(batch.served, 1);
+    assert!(interactive.latency_p50().is_some());
+    assert!(batch.latency_p99().unwrap() >= batch.latency_p50().unwrap());
+    // The DP telemetry diff covers only the completed walk queries.
+    assert_eq!(engine.telemetry().since(&dp_before).queries, 2);
+
+    // A second burst's diff starts from zero, not engine lifetime.
+    let before = engine.stats();
+    engine.recommend_batch(vec![RecommendRequest::new("HT", 0, 1)]);
+    assert_eq!(engine.stats().since(&before).submitted, 1);
 }

@@ -13,7 +13,10 @@
 //!   one the store actually published;
 //! * **the delta rides on the options** — a wrapper that forwards its
 //!   options serves the delta like the bare model, and the non-walk
-//!   families ignore it (correct but stale).
+//!   families ignore it (correct but stale);
+//! * **one store, one model** — a store attached to two names is refused
+//!   at build, and an ingest model's versions come only from compaction:
+//!   a plain `deploy` of it panics.
 
 mod common;
 
@@ -60,21 +63,21 @@ fn items_of(r: &longtail_serve::RecommendResponse) -> Vec<u32> {
 #[test]
 fn appends_change_rankings_at_published_epochs() {
     let base = corpus();
-    let store = Arc::new(DeltaStore::new(
-        base.clone(),
-        DeltaConfig {
-            publish_every: 4,
-            ..DeltaConfig::default()
-        },
-    ));
-    // The same HT behind a fault-free wrapper, reading the same store: it
-    // forwards its options, and with them the delta.
+    let config = DeltaConfig {
+        publish_every: 4,
+        ..DeltaConfig::default()
+    };
+    let store = Arc::new(DeltaStore::new(base.clone(), config));
+    // The same HT behind a fault-free wrapper, over a store of its own
+    // that receives the same appends: it forwards its options, and with
+    // them the delta.
+    let wrapped_store = Arc::new(DeltaStore::new(base.clone(), config));
     let wrapped = FaultyRecommender::new(ht(&base), FaultPlan::new());
     let engine = Engine::builder()
         .model("HT", ht(&base))
         .ingest("HT", store.clone())
         .model("wrapped", Arc::new(wrapped))
-        .ingest("wrapped", store.clone())
+        .ingest("wrapped", wrapped_store.clone())
         .workers(2)
         .build();
 
@@ -112,6 +115,7 @@ fn appends_change_rankings_at_published_epochs() {
     ];
     for r in &appends {
         store.append(*r);
+        wrapped_store.append(*r);
     }
     assert_eq!(store.epoch(), 1, "publish_every=4 published one epoch");
 
@@ -211,6 +215,37 @@ fn compaction_preserves_rankings_and_bumps_the_version() {
     assert_eq!(stats.ingest.appends, 4);
     assert_eq!(stats.ingest.compactions, 1);
     assert_eq!(stats.ingest.delta_edges_live, 0);
+    assert_eq!(stats.ingest.epochs_published, store.epoch());
+}
+
+/// A plain deploy would pair the store's delta with a model built on any
+/// dataset, so an ingest model refuses it: compaction is its only deploy.
+#[test]
+#[should_panic(expected = "has an ingest store")]
+fn deploying_an_ingest_model_panics() {
+    let base = corpus();
+    let engine = Engine::builder()
+        .model("HT", ht(&base))
+        .ingest("HT", Arc::new(DeltaStore::with_defaults(base.clone())))
+        .workers(0)
+        .build();
+    let _ = engine.deploy("HT", ht(&base));
+}
+
+/// A store's delta and epochs belong to one model: attaching one store to
+/// two names is refused at build.
+#[test]
+#[should_panic(expected = "share one ingest store")]
+fn one_store_attached_to_two_models_panics() {
+    let base = corpus();
+    let store = Arc::new(DeltaStore::with_defaults(base.clone()));
+    Engine::builder()
+        .model("HT", ht(&base))
+        .ingest("HT", store.clone())
+        .model("HT2", ht(&base))
+        .ingest("HT2", store)
+        .workers(0)
+        .build();
 }
 
 /// The acceptance gate: appenders + a compaction loop + queriers, all
