@@ -89,8 +89,8 @@ fn main() {
     );
     // Both the sequential and batch columns ride the fused top-k path; the
     // last column is therefore batch-vs-sequential scaling (invisible on a
-    // 1-core box). Fused-vs-score-then-sort itself is measured by
-    // bench_walk_scoring and recorded in BENCH_walk_scoring.json.
+    // 1-core box). The fused path's own cost is perfbench's `core.call_ms`
+    // and `core.topk_us`.
     emit(
         name,
         "| algorithm | sec/query sequential | sec/query score_batch | sec/query recommend_batch | batch speedup |",

@@ -1,14 +1,12 @@
 //! Shared harness for the experiment binaries.
 //!
-//! Most binaries in `src/bin/` regenerate one table or figure of the paper
-//! (`run_all` runs them all); `bench_walk_scoring` writes the walk-scoring
-//! perf summary. This library holds what they share: dataset presets, the
-//! algorithm roster, paper reference values for side-by-side printing, and
-//! the [`json::Json`] value the perf summary is written and checked with.
+//! Each binary in `src/bin/` regenerates one table or figure of the paper
+//! (`run_all` runs them all). This library holds what they share: dataset
+//! presets, the algorithm roster, and paper reference values for
+//! side-by-side printing. The serving benchmark of record is the separate
+//! `perfbench/` package.
 
 #![warn(missing_docs)]
-
-pub mod json;
 
 use longtail_core::{
     AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,

@@ -218,7 +218,7 @@ mod tests {
         let fixed_opts = RecommendOptions::with_stopping(DpStopping::Fixed);
         let adaptive_opts = RecommendOptions::default();
         for u in 0..5u32 {
-            for k in [1usize, 3, 6] {
+            for k in [1usize, 3, 6, usize::MAX] {
                 let f = rec.recommend_with(u, k, &fixed_opts, &mut fixed);
                 let a = rec.recommend_with(u, k, &adaptive_opts, &mut adaptive);
                 let fi: Vec<u32> = f.iter().map(|s| s.item).collect();

@@ -108,7 +108,7 @@ impl RerankPolicy {
 
     /// The candidate-pool size the fused path should collect for a final
     /// top-`k`: `k` itself when disabled (bit-identity), otherwise
-    /// `pool_size` (default `4k`) clamped to at least `k`.
+    /// `pool_size` (default `4k`, saturating) clamped to at least `k`.
     pub fn effective_pool(&self, k: usize) -> usize {
         if !self.is_enabled() || k == 0 {
             return k;
@@ -116,7 +116,7 @@ impl RerankPolicy {
         let m = if self.pool_size > 0 {
             self.pool_size
         } else {
-            4 * k
+            k.saturating_mul(4)
         };
         m.max(k)
     }
@@ -509,6 +509,8 @@ mod tests {
         assert_eq!(enabled.pool(3).effective_pool(10), 10);
         assert_eq!(enabled.pool(25).effective_pool(10), 25);
         assert_eq!(enabled.effective_pool(0), 0);
+        // A hostile k saturates instead of overflowing.
+        assert_eq!(enabled.effective_pool(usize::MAX), usize::MAX);
     }
 
     #[test]

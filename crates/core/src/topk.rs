@@ -69,11 +69,12 @@ pub struct TopKCollector {
 }
 
 impl TopKCollector {
-    /// A collector retaining the best `k` items.
+    /// A collector retaining the best `k` items. It allocates as items
+    /// arrive, so a huge `k` costs nothing up front.
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -196,6 +197,9 @@ impl TopKCollector {
 /// same collector directly and must match this function item for item.
 pub fn top_k(scores: &[f64], k: usize, mut exclude: impl FnMut(u32) -> bool) -> Vec<ScoredItem> {
     let mut collector = TopKCollector::new(k);
+    // The heap never holds more than `k` entries, nor more than there are
+    // scores.
+    collector.heap.reserve(k.min(scores.len()));
     for (i, &s) in scores.iter().enumerate() {
         let i = i as u32;
         if !exclude(i) {
@@ -277,8 +281,10 @@ mod tests {
     #[test]
     fn k_larger_than_catalog() {
         let scores = [0.2, 0.4];
-        let top = top_k(&scores, 10, |_| false);
-        assert_eq!(top.len(), 2);
+        for k in [10, usize::MAX] {
+            let top = top_k(&scores, k, |_| false);
+            assert_eq!(top.len(), 2, "k = {k}");
+        }
     }
 
     #[test]

@@ -602,7 +602,7 @@ pub(crate) fn rank_frozen<G: GraphView>(
     }
     // Provisional top-(k+1): the served list plus the best outside
     // candidate, under the scores the walk would serve if stopped now.
-    collector.reset(k + 1);
+    collector.reset(k.saturating_add(1));
     let n_users = graph.n_users();
     for (local, &global) in scratch.global_ids().iter().enumerate() {
         if global >= n_users {

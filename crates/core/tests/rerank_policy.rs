@@ -123,7 +123,8 @@ proptest! {
 
     /// An enabled policy serves a permutation of the over-fetched pool:
     /// exactly `min(k, pool)` items, each present in the plain top-M at
-    /// its original walk score, with an aligned provenance trace.
+    /// its original walk score, with an aligned provenance trace — also
+    /// for a hostile `k`, whose pool size saturates.
     #[test]
     fn enabled_policy_serves_a_pool_permutation(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
@@ -132,36 +133,37 @@ proptest! {
         let mut ctx = ScoringContext::new();
         let mut pool: Vec<ScoredItem> = Vec::new();
         let mut reranked: Vec<ScoredItem> = Vec::new();
-        let k = 3usize;
-        let fetch = policy.effective_pool(k);
+        let plain = RecommendOptions::with_stopping(DpStopping::Fixed);
+        let on = RecommendOptions::with_stopping(DpStopping::Fixed)
+            .rerank(Reranker::new(&index, policy));
         for rec in &roster(&d) {
-            let plain = RecommendOptions::with_stopping(DpStopping::Fixed);
-            let on = RecommendOptions::with_stopping(DpStopping::Fixed)
-                .rerank(Reranker::new(&index, policy));
-            for u in 0..d.n_users() as u32 {
-                rec.recommend_into(u, fetch, &plain, &mut ctx, &mut pool);
-                rec.recommend_into(u, k, &on, &mut ctx, &mut reranked);
-                prop_assert_eq!(
-                    reranked.len(),
-                    pool.len().min(k),
-                    "{} user {}: wrong list length",
-                    rec.name(),
-                    u
-                );
-                for s in &reranked {
-                    prop_assert!(
-                        pool.iter().any(|p| p.item == s.item && p.score == s.score),
-                        "{} user {}: served item {} not in the top-{} pool at its score",
+            for k in [3usize, usize::MAX] {
+                let fetch = policy.effective_pool(k);
+                for u in 0..d.n_users() as u32 {
+                    rec.recommend_into(u, fetch, &plain, &mut ctx, &mut pool);
+                    rec.recommend_into(u, k, &on, &mut ctx, &mut reranked);
+                    prop_assert_eq!(
+                        reranked.len(),
+                        pool.len().min(k),
+                        "{} user {}: wrong list length",
                         rec.name(),
-                        u,
-                        s.item,
-                        fetch
+                        u
                     );
-                }
-                let trace = ctx.rerank_trace();
-                prop_assert_eq!(trace.len(), reranked.len());
-                for (s, p) in reranked.iter().zip(trace) {
-                    prop_assert_eq!(p.popularity_percentile, index.percentile(s.item));
+                    for s in &reranked {
+                        prop_assert!(
+                            pool.iter().any(|p| p.item == s.item && p.score == s.score),
+                            "{} user {}: served item {} not in the top-{} pool at its score",
+                            rec.name(),
+                            u,
+                            s.item,
+                            fetch
+                        );
+                    }
+                    let trace = ctx.rerank_trace();
+                    prop_assert_eq!(trace.len(), reranked.len());
+                    for (s, p) in reranked.iter().zip(trace) {
+                        prop_assert_eq!(p.popularity_percentile, index.percentile(s.item));
+                    }
                 }
             }
         }

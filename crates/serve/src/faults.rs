@@ -6,10 +6,9 @@
 //! NaN/−∞-poisoned scores, or kill the worker thread serving the call.
 //! Plans are **deterministic** — a fault either fires on the N-th
 //! `recommend_into` call or it doesn't, decided by explicit schedules or by
-//! a pure hash of `(seed, call index)` — so chaos tests and the
-//! `fault_tolerance` bench section reproduce exactly, run to run, and the
-//! expected failure count of an unprotected engine can be computed up
-//! front with [`FaultPlan::count_faults`].
+//! a pure hash of `(seed, call index)` — so the chaos tests
+//! (`tests/fault_tolerance.rs`) and `examples/fault_tolerance.rs` reproduce
+//! exactly, run to run.
 //!
 //! Faults apply only to [`Recommender::recommend_into`] (the path the
 //! engine serves); `score_into` delegates untouched so reference scoring
@@ -147,12 +146,6 @@ impl FaultPlan {
             .find(|(schedule, _)| schedule.fires(n))
             .map(|&(_, kind)| kind)
     }
-
-    /// How many of the first `calls` call indices fault — the expected
-    /// failure count of an unprotected engine serving one call per request.
-    pub fn count_faults(&self, calls: u64) -> u64 {
-        (0..calls).filter(|&n| self.fault_for(n).is_some()).count() as u64
-    }
 }
 
 /// A [`Recommender`] wrapper that injects the faults of a [`FaultPlan`]
@@ -180,11 +173,6 @@ impl FaultyRecommender {
     /// Serving calls made so far (faulted or not).
     pub fn calls_made(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
-    }
-
-    /// The wrapper's fault schedule.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 
@@ -243,6 +231,11 @@ fn poison(out: &mut Vec<ScoredItem>, k: usize, value: f64) {
 mod tests {
     use super::*;
 
+    /// How many of the first `calls` call indices fault.
+    fn count_faults(plan: &FaultPlan, calls: u64) -> usize {
+        (0..calls).filter(|&n| plan.fault_for(n).is_some()).count()
+    }
+
     #[test]
     fn schedules_fire_deterministically() {
         let plan = FaultPlan::new()
@@ -253,7 +246,7 @@ mod tests {
         assert_eq!(plan.fault_for(1), Some(FaultKind::NanScores));
         assert_eq!(plan.fault_for(6), Some(FaultKind::NanScores));
         assert_eq!(plan.fault_for(5), None);
-        assert_eq!(plan.count_faults(7), 3); // calls 1, 2, 6
+        assert_eq!(count_faults(&plan, 7), 3); // calls 1, 2, 6
     }
 
     #[test]
@@ -271,7 +264,7 @@ mod tests {
         for n in 0..500 {
             assert_eq!(plan.fault_for(n), again.fault_for(n), "call {n}");
         }
-        let hits = plan.count_faults(1000);
+        let hits = count_faults(&plan, 1000);
         assert!((100..350).contains(&hits), "0.2 rate wildly off: {hits}");
         // A different seed faults a different call set.
         let other = FaultPlan::new().seeded(43, 0.2, FaultKind::Panic);
@@ -281,6 +274,6 @@ mod tests {
     #[test]
     fn empty_plan_never_faults() {
         assert_eq!(FaultPlan::new().fault_for(0), None);
-        assert_eq!(FaultPlan::new().count_faults(100), 0);
+        assert_eq!(count_faults(&FaultPlan::new(), 100), 0);
     }
 }

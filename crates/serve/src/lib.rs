@@ -53,8 +53,9 @@
 //!   with [`RecommendResponse::degraded`] set. Worker threads are
 //!   supervised — dead ones respawn — and [`Engine::health`] snapshots
 //!   breaker states, queue depth and worker liveness. The deterministic
-//!   [`FaultPlan`]/[`FaultyRecommender`] harness drives all of it in
-//!   chaos tests and the `fault_tolerance` bench section.
+//!   [`FaultPlan`]/[`FaultyRecommender`] harness drives all of it in the
+//!   chaos suite (`tests/fault_tolerance.rs`) and
+//!   `examples/fault_tolerance.rs`.
 //!
 //! * **Streaming ingest (opt-in)** — attach a [`DeltaStore`]
 //!   ([`EngineBuilder::ingest`]) and the model's requests serve **base +

@@ -11,7 +11,8 @@
 //! priorities or deadlines — every pre-QoS caller — degrades exactly to
 //! FIFO, so the default is behavior-preserving. [`SchedPolicy::Fifo`]
 //! keeps the literal arrival order and disables slack shedding; it exists
-//! as the measurable baseline (see the `qos_scheduling` bench section).
+//! as the baseline that `examples/qos_scheduling.rs` and the
+//! `qos_scheduling` tests compare against.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

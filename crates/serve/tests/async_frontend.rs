@@ -19,7 +19,8 @@
 //! The deterministic full-queue/shutdown tests drive the shared
 //! `common::GatedRecommender`: a wrapper that parks inside
 //! `recommend_into` until the test opens its gate, making "worker busy,
-//! queue full" a constructed state rather than a race.
+//! queue full" a constructed state rather than a race. Every test but the
+//! shutdown one ends with `common::assert_ledgers_balance`.
 
 use longtail_core::{
     DpStopping, GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender, ScoredItem,
@@ -36,7 +37,8 @@ use std::time::{Duration, Instant};
 
 mod common;
 use common::{
-    chain_dataset, ratings, roster, tiny_dataset, Gate, GatedRecommender, HANG, N_ITEMS, N_USERS,
+    assert_ledgers_balance, chain_dataset, ratings, roster, tiny_dataset, Gate, GatedRecommender,
+    HANG, N_ITEMS, N_USERS,
 };
 
 fn items_of(list: &[ScoredItem]) -> Vec<u32> {
@@ -90,6 +92,7 @@ proptest! {
         prop_assert_eq!(stats.submitted, 2 * requests.len() as u64);
         prop_assert_eq!(stats.completed, stats.submitted);
         prop_assert_eq!(stats.dropped(), 0);
+        assert_ledgers_balance(&stats);
     }
 }
 
@@ -137,6 +140,7 @@ fn reject_policy_refuses_without_blocking_when_full() {
     let stats = engine.stats();
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.shed, 0);
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -159,6 +163,7 @@ fn shed_oldest_policy_sheds_the_oldest_queued_request() {
         assert!(p.wait().is_ok(), "surviving requests all complete");
     }
     assert_eq!(engine.stats().completed, 3);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -191,6 +196,7 @@ fn expired_deadline_is_shed_at_dequeue_without_running_the_dp() {
 
     // An undeadlined request on the same engine still serves.
     assert!(engine.recommend(&RecommendRequest::new("HT", 0, 1)).is_ok());
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -220,6 +226,7 @@ fn deadline_expiring_mid_request_cancels_the_walk() {
     assert_eq!(stats.expired_at_dequeue, 0);
     // The cancelled run is visible in the DP telemetry too.
     assert_eq!(engine.telemetry().deadline_expired, 1);
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -247,6 +254,8 @@ fn engine_drop_cancels_queued_requests_in_bounded_time() {
     gate.open();
     assert!(in_flight.wait().is_ok(), "in-flight request still answered");
     dropper.join().unwrap();
+    // No ledger check: the drop under test takes the engine, and its
+    // stats, with it before the last handle resolves.
 }
 
 #[test]
@@ -265,6 +274,7 @@ fn zero_worker_engine_resolves_submissions_synchronously() {
     let response = pending.try_recv().expect("inline submission is ready");
     assert!(response.is_ok());
     assert_eq!(engine.stats().completed, 1);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -281,6 +291,7 @@ fn try_recv_polls_and_wait_timeout_bounds() {
         .wait_timeout(HANG)
         .expect("opened gate resolves the request");
     assert!(response.is_ok());
+    assert_ledgers_balance(&engine.stats());
     drop(engine);
 }
 
@@ -316,6 +327,7 @@ fn fixed_stopping_override_with_deadline_still_serves_exact_lists() {
     );
     assert_eq!(deadlined.items, direct);
     assert_eq!(items_of(&deadlined.items), items_of(&direct));
+    assert_ledgers_balance(&engine.stats());
 }
 
 /// An open-loop burst through `recommend_batch` (every request submitted
@@ -349,9 +361,9 @@ fn stats_since_scopes_one_batch_burst() {
     assert_eq!(stats.submitted, 3);
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.expired_at_dequeue, 1);
-    // The per-class QoS ledgers ride the same diff: each class balances
-    // (`submitted = served + shed + expired + failed`) and the served
-    // requests' latencies surface as percentiles.
+    // The per-class QoS ledgers ride the same diff: both ledgers balance
+    // and the served requests' latencies surface as percentiles.
+    assert_ledgers_balance(&stats);
     let interactive = stats.per_class[Priority::Interactive.index()];
     let batch = stats.per_class[Priority::Batch.index()];
     assert_eq!(interactive.submitted, 2);
@@ -368,4 +380,5 @@ fn stats_since_scopes_one_batch_burst() {
     let before = engine.stats();
     engine.recommend_batch(vec![RecommendRequest::new("HT", 0, 1)]);
     assert_eq!(engine.stats().since(&before).submitted, 1);
+    assert_ledgers_balance(&engine.stats());
 }

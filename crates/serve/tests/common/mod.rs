@@ -1,8 +1,9 @@
 //! Shared fixtures of the serve integration suites: the random-ratings
-//! strategy, the all-families model roster, and the gate/gated-recommender
-//! pattern that turns "worker busy, queue in a known state" into a
-//! constructed condition instead of a race. Lives in a subdirectory so
-//! cargo does not treat it as a test target of its own.
+//! strategy, the all-families model roster, the ledger check every engine
+//! test ends with, and the gate/gated-recommender pattern that turns "worker
+//! busy, queue in a known state" into a constructed condition instead of a
+//! race. Lives in a subdirectory so cargo does not treat it as a test
+//! target of its own.
 
 // Each suite compiles this module independently and uses a different
 // subset of it.
@@ -15,7 +16,7 @@ use longtail_core::{
     RecommendOptions, Recommender, RuleConfig, ScoredItem, ScoringContext, UserSimilarity,
 };
 use longtail_data::{Dataset, Rating};
-use longtail_serve::SharedRecommender;
+use longtail_serve::{EngineStats, Priority, SharedRecommender};
 use longtail_topics::LdaConfig;
 use proptest::prelude::*;
 use std::sync::{Arc, Condvar, Mutex};
@@ -85,6 +86,35 @@ pub fn roster(d: &Dataset) -> Vec<(&'static str, SharedRecommender)> {
         ("dppr", Arc::new(PageRankRecommender::discounted(d))),
         ("POP", Arc::new(PopularityRecommender::train(d))),
     ]
+}
+
+/// Assert that `stats` balances both ledgers: every admitted request has
+/// exactly one outcome, so `submitted` equals the sum of `completed`,
+/// `failed`, `panicked`, `shed`, `expired_at_dequeue`, `expired_in_dp` and
+/// `cancelled_at_shutdown`, and per class
+/// `submitted = served + shed + expired + failed`. Call it once every
+/// handle the test submitted has resolved.
+pub fn assert_ledgers_balance(stats: &EngineStats) {
+    let outcomes = stats.completed
+        + stats.failed
+        + stats.panicked
+        + stats.shed
+        + stats.expired_at_dequeue
+        + stats.expired_in_dp
+        + stats.cancelled_at_shutdown;
+    assert_eq!(
+        stats.submitted, outcomes,
+        "ledger out of balance: {stats:?}"
+    );
+    for (class, priority) in stats.per_class.iter().zip(Priority::ALL) {
+        assert_eq!(
+            class.submitted,
+            class.served + class.shed + class.expired + class.failed,
+            "{} ledger out of balance: {:?}",
+            priority.name(),
+            class
+        );
+    }
 }
 
 /// Generous bound for waits that must complete promptly; hitting it means

@@ -15,8 +15,9 @@
 //!   exactly what the owning shard's recommender answers directly, and
 //!   reports the shard the router picked.
 //!
-//! Case counts honour `PROPTEST_CASES` (see `vendor/proptest`), which CI
-//! pins so the suite stays bounded.
+//! Every test that serves through an engine ends with
+//! `common::assert_ledgers_balance`. Case counts honour `PROPTEST_CASES`
+//! (see `vendor/proptest`), which CI pins so the suite stays bounded.
 
 use longtail_core::{
     DpStopping, ExclusionSet, GraphRecConfig, HittingTimeRecommender, RecommendOptions,
@@ -30,7 +31,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 mod common;
-use common::{ratings, roster, N_ITEMS, N_USERS};
+use common::{assert_ledgers_balance, ratings, roster, N_ITEMS, N_USERS};
 
 fn items_of(list: &[ScoredItem]) -> Vec<u32> {
     list.iter().map(|s| s.item).collect()
@@ -129,6 +130,7 @@ proptest! {
         }
         // Aggregate telemetry accounted for every walk-family DP run.
         prop_assert!(engine.telemetry().queries > 0);
+        assert_ledgers_balance(&engine.stats());
     }
 
     /// (c) Sharded routing is transparent: the engine's answer under a
@@ -164,6 +166,7 @@ proptest! {
                 u
             );
         }
+        assert_ledgers_balance(&engine.stats());
     }
 }
 
@@ -250,6 +253,8 @@ fn engine_rerank_threads_policy_and_provenance_end_to_end() {
         served >= 6,
         "corpus must exercise the re-rank path: {served}"
     );
+    assert_ledgers_balance(&raw.stats());
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -282,6 +287,7 @@ fn unknown_model_is_an_error_not_a_panic() {
     assert!(results[0].is_err());
     assert!(results[1].is_ok());
     assert_eq!(engine.models(), vec!["HT"]);
+    assert_ledgers_balance(&engine.stats());
 }
 
 /// HT that panics when asked to serve user 99: a model failing on one
@@ -365,6 +371,7 @@ fn panicking_request_fails_alone_without_killing_the_engine() {
         engine.recommend(&RecommendRequest::new("HT", 99, 2)),
         Err(ServeError::RequestPanicked(_))
     ));
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -399,6 +406,7 @@ fn zero_worker_engine_serves_batches_inline() {
     ]);
     assert_eq!(results.len(), 2);
     assert!(results.iter().all(|r| r.is_ok()));
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -440,4 +448,5 @@ fn per_request_telemetry_sums_into_engine_aggregate() {
     assert_eq!(aggregate.iterations_run, per_request);
     engine.reset_telemetry();
     assert_eq!(engine.telemetry().queries, 0);
+    assert_ledgers_balance(&engine.stats());
 }

@@ -6,7 +6,9 @@
 //!
 //! * **fault isolation** (property) — an engine with one fault-injected
 //!   model serves byte-identical rankings for every *other* model versus a
-//!   fault-free engine;
+//!   fault-free engine, while the faulty model itself answers every
+//!   request (its POP fallback covers what retries cannot) and each of its
+//!   non-degraded answers ranks as the fault-free engine's does;
 //! * **breaker lifecycle** — trips at the failure threshold, refuses fast
 //!   (submit-time [`ServeError::CircuitOpen`] without spending a queue
 //!   slot), and a successful half-open probe fully closes it;
@@ -27,8 +29,9 @@
 //!   kills its worker re-opens the breaker (never wedging it HalfOpen)
 //!   and the respawned worker's next probe closes it.
 //!
-//! Case counts honour `PROPTEST_CASES` (see `vendor/proptest`), which CI
-//! pins so the suite stays bounded.
+//! Every test that serves through an engine ends with
+//! `common::assert_ledgers_balance`. Case counts honour `PROPTEST_CASES`
+//! (see `vendor/proptest`), which CI pins so the suite stays bounded.
 
 use longtail_core::{PopularityRecommender, Recommender, ScoredItem};
 use longtail_data::{Dataset, Rating};
@@ -41,7 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 mod common;
-use common::{ratings, roster, N_ITEMS, N_USERS};
+use common::{assert_ledgers_balance, ratings, roster, N_ITEMS, N_USERS};
 
 fn items_of(list: &[ScoredItem]) -> Vec<u32> {
     list.iter().map(|s| s.item).collect()
@@ -75,7 +78,9 @@ proptest! {
     /// Fault isolation: wrap one model in a heavy seeded fault plan (with
     /// breakers, retries and a fallback armed) and hammer it; every
     /// *other* model's rankings — items and scores — stay byte-identical
-    /// to a fault-free engine's, and come back non-degraded.
+    /// to a fault-free engine's, and come back non-degraded. The faulty
+    /// model itself stays available: every request is answered, and a
+    /// non-degraded answer has the fault-free engine's items.
     #[test]
     fn faulty_model_never_perturbs_other_models(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
@@ -107,10 +112,21 @@ proptest! {
 
         for _round in 0..3 {
             for u in 0..d.n_users() as u32 {
-                // Hammer the faulty model; answers may be Ok (possibly
-                // degraded) or typed errors — never a crash, and never
-                // leakage into the other models below.
-                let _ = chaotic.recommend(&RecommendRequest::new("HT", u, 5));
+                // Hammer the faulty model: protection answers every
+                // request, and only the fallback may change its ranking.
+                let req = RecommendRequest::new("HT", u, 5);
+                let answer = chaotic.recommend(&req);
+                prop_assert!(answer.is_ok(), "HT user {} unanswered: {:?}", u, answer);
+                let answer = answer.unwrap();
+                if !answer.degraded {
+                    let reference = clean.recommend(&req).unwrap();
+                    prop_assert_eq!(
+                        items_of(&answer.items),
+                        items_of(&reference.items),
+                        "HT user {}: protection perturbed a healthy ranking",
+                        u
+                    );
+                }
                 for (name, _) in models.iter().filter(|(n, _)| *n != "HT") {
                     let req = RecommendRequest::new(*name, u, 5);
                     let with_chaos = chaotic.recommend(&req).unwrap();
@@ -126,6 +142,8 @@ proptest! {
                 }
             }
         }
+        assert_ledgers_balance(&chaotic.stats());
+        assert_ledgers_balance(&clean.stats());
     }
 }
 
@@ -153,6 +171,7 @@ fn retry_recovers_from_transient_panic() {
     assert_eq!(stats.retries, 1, "one extra attempt");
     assert_eq!(stats.contexts_discarded, 1, "panicked context dropped");
     assert_eq!(stats.panicked, 0, "the request did not fail");
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -192,6 +211,7 @@ fn retry_starts_within_deadline_even_when_backoff_would_not_fit() {
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.expired_at_dequeue + stats.expired_in_dp, 0);
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -217,6 +237,7 @@ fn deadline_free_requests_retry_exactly_max_attempts_times() {
     let stats = engine.stats();
     assert_eq!(stats.retries, 2);
     assert_eq!(stats.panicked, 1, "one failed request, not one per attempt");
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -263,6 +284,7 @@ fn fallback_serves_degraded_and_open_breaker_stops_feeding_primary() {
         2,
         "open breaker must stop feeding the primary"
     );
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -304,6 +326,7 @@ fn open_breaker_without_fallback_fails_fast_at_submit() {
         .recommend(&RecommendRequest::new("primary", 2, 3))
         .unwrap_err();
     assert_eq!(err, ServeError::CircuitOpen);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -355,6 +378,7 @@ fn out_of_range_users_are_served_empty_and_never_trip_the_breaker() {
     let stats = engine.stats();
     assert_eq!(stats.panicked, 0);
     assert_eq!(stats.failed, 0);
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -396,6 +420,7 @@ fn successful_probe_fully_closes_breaker() {
             .recommend(&RecommendRequest::new("POP", user, 3))
             .is_ok());
     }
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -427,6 +452,7 @@ fn poisoned_scores_are_refused_and_feed_the_breaker() {
     assert_eq!(stats.contexts_discarded, 0, "no panic: contexts survive");
     // Two poisons == threshold: the breaker is open.
     assert_eq!(engine.health().models[0].breakers, vec![BreakerState::Open]);
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -480,6 +506,7 @@ fn killed_worker_is_respawned_by_supervision() {
         .expect("respawned worker must serve");
     assert!(!resp.degraded);
     assert_eq!(engine.stats().workers_restarted, 1);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -551,6 +578,7 @@ fn probe_that_kills_its_worker_reopens_breaker_and_recovers() {
     let health = engine.health();
     assert_eq!(health.models[0].breakers, vec![BreakerState::Closed]);
     assert!(health.all_healthy());
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -579,6 +607,7 @@ fn latency_fault_blows_the_deadline_typed() {
         ServeError::DeadlineExceeded
     );
     assert_eq!(engine.stats().expired_at_dequeue, 1);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]

@@ -18,6 +18,9 @@
 //!   [`ServeError::UnknownModel`]; topology mismatches (deploying a
 //!   sharded group without naming a shard, or shard-deploying an unsharded
 //!   model) panic like the builder's shape asserts.
+//!
+//! Every test but the `should_panic` ones, which serve nothing, ends with
+//! `common::assert_ledgers_balance`.
 
 use longtail_core::{GraphRecConfig, HittingTimeRecommender, PopularityRecommender, Recommender};
 use longtail_data::{Dataset, Rating};
@@ -28,7 +31,7 @@ use longtail_serve::{
 use std::sync::Arc;
 
 mod common;
-use common::{Gate, GatedRecommender};
+use common::{assert_ledgers_balance, Gate, GatedRecommender};
 
 /// A small corpus every test shares.
 fn corpus() -> Dataset {
@@ -128,6 +131,7 @@ fn in_flight_requests_pin_their_version_across_a_deploy() {
         "version 1 kept alive after its last pin"
     );
     assert!(!history[1].retired);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -196,6 +200,7 @@ fn hot_swap_under_concurrent_load_loses_no_requests() {
     assert_eq!(stats.completed, served);
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.shed + stats.rejected + stats.cancelled_at_shutdown, 0);
+    assert_ledgers_balance(&stats);
 }
 
 #[test]
@@ -240,6 +245,7 @@ fn deploy_resets_the_breaker_and_carries_ledgers() {
         .recommend(&RecommendRequest::new("POP", 0, 3))
         .unwrap();
     assert_eq!(ok.version, 2);
+    assert_ledgers_balance(&engine.stats());
     let _ = std::panic::take_hook();
 }
 
@@ -272,6 +278,7 @@ fn sharded_groups_deploy_per_shard_independently() {
     assert_eq!(health.models[0].versions, vec![1, 2]);
     assert_eq!(health.models[0].deploy_history[0].len(), 1);
     assert_eq!(health.models[0].deploy_history[1].len(), 2);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -304,6 +311,7 @@ fn deploy_reports_provenance_in_health() {
         format!("{}", model.deploy_history[0][0].provenance),
         "trained in-process"
     );
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -316,6 +324,7 @@ fn deploying_an_unknown_model_fails_typed() {
     assert_eq!(err.unwrap_err(), ServeError::UnknownModel("nope".into()));
     let err = engine.deploy_shard("nope", 0, Arc::new(PopularityRecommender::train(&corpus())));
     assert_eq!(err.unwrap_err(), ServeError::UnknownModel("nope".into()));
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]

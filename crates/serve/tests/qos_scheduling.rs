@@ -14,8 +14,9 @@
 //!   a deadline unmeetable, the request is dropped at dequeue without the
 //!   model ever running (`shed_unmeetable`); a meetable deadline on the
 //!   same engine still serves.
-//! * **Per-class ledger** — in every test:
-//!   `submitted = served + shed + expired + failed` per class.
+//! * **Ledgers** — every test ends with `common::assert_ledgers_balance`:
+//!   each admitted request has exactly one outcome, globally and per class
+//!   (`submitted = served + shed + expired + failed`).
 
 use longtail_core::{
     GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender, ScoredItem,
@@ -23,8 +24,7 @@ use longtail_core::{
 };
 use longtail_data::Dataset;
 use longtail_serve::{
-    AdmissionPolicy, Engine, EngineStats, Priority, RecommendRequest, SchedPolicy, ServeError,
-    SharedRecommender,
+    AdmissionPolicy, Engine, Priority, RecommendRequest, SchedPolicy, ServeError, SharedRecommender,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,21 +33,9 @@ use std::time::{Duration, Instant};
 
 mod common;
 use common::{
-    chain_dataset, ratings, roster, tiny_dataset, Gate, GatedRecommender, N_ITEMS, N_USERS,
+    assert_ledgers_balance, chain_dataset, ratings, roster, tiny_dataset, Gate, GatedRecommender,
+    N_ITEMS, N_USERS,
 };
-
-/// Assert the per-class ledger balances in `stats`.
-fn assert_class_ledger(stats: &EngineStats) {
-    for (class, priority) in stats.per_class.iter().zip(Priority::ALL) {
-        assert_eq!(
-            class.submitted,
-            class.served + class.shed + class.expired + class.failed,
-            "{} ledger out of balance: {:?}",
-            priority.name(),
-            class
-        );
-    }
-}
 
 proptest! {
     /// EDF ordering and per-model quotas never change the *contents* of a
@@ -129,7 +117,7 @@ proptest! {
         let stats = engine.stats();
         prop_assert_eq!(stats.shed, shed);
         prop_assert_eq!(stats.completed, served + 1); // + the parked request
-        assert_class_ledger(&stats);
+        assert_ledgers_balance(&stats);
     }
 }
 
@@ -182,7 +170,7 @@ fn served_order_is_class_then_deadline_then_arrival() {
     // deadline-free request last; the near-deadline Batch request cannot
     // jump the class boundary.
     assert_eq!(*served_log.lock().unwrap(), vec![20, 10, 11, 12, 13]);
-    assert_class_ledger(&engine.stats());
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -219,6 +207,7 @@ fn fifo_policy_serves_in_arrival_order_despite_priorities() {
         assert!(p.wait().is_ok());
     }
     assert_eq!(*served_log.lock().unwrap(), vec![20, 13, 11, 12]);
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -261,7 +250,7 @@ fn model_quota_refuses_one_models_burst_but_admits_others() {
     }
     let stats = engine.stats();
     assert_eq!(stats.completed, 3);
-    assert_class_ledger(&stats);
+    assert_ledgers_balance(&stats);
     // Rejections never enter the class ledger: only admitted work does.
     assert_eq!(stats.per_class[Priority::Interactive.index()].submitted, 3);
 }
@@ -348,7 +337,7 @@ fn unmeetable_deadline_is_slack_shed_without_running_the_model() {
     let interactive = stats.per_class[Priority::Interactive.index()];
     assert_eq!(interactive.shed, 1);
     assert_eq!(interactive.served, 2);
-    assert_class_ledger(&stats);
+    assert_ledgers_balance(&stats);
     // The served latencies surfaced as percentiles (~200ms plus queueing:
     // between one bucket bound below and a couple above).
     let p50 = interactive.latency_p50().expect("two serves recorded");
@@ -365,5 +354,5 @@ fn unmeetable_deadline_is_slack_shed_without_running_the_model() {
         .unwrap();
     assert!(fine.wait().is_ok());
     assert_eq!(sleepy.calls.load(Ordering::SeqCst), 3);
-    assert_class_ledger(&engine.stats());
+    assert_ledgers_balance(&engine.stats());
 }

@@ -17,9 +17,13 @@
 //! * **one store, one model** — a store attached to two names is refused
 //!   at build, and an ingest model's versions come only from compaction:
 //!   a plain `deploy` of it panics.
+//!
+//! Every test that serves through an engine ends with
+//! `common::assert_ledgers_balance`.
 
 mod common;
 
+use common::assert_ledgers_balance;
 use longtail_core::{
     DpStopping, EdgeDelta, GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender,
     ScoredItem, ScoringContext,
@@ -161,6 +165,7 @@ fn appends_change_rankings_at_published_epochs() {
         &mut want,
     );
     assert_eq!(after.items, want, "overlay ≡ rebuild on the union");
+    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -216,6 +221,7 @@ fn compaction_preserves_rankings_and_bumps_the_version() {
     assert_eq!(stats.ingest.compactions, 1);
     assert_eq!(stats.ingest.delta_edges_live, 0);
     assert_eq!(stats.ingest.epochs_published, store.epoch());
+    assert_ledgers_balance(&stats);
 }
 
 /// A plain deploy would pair the store's delta with a model built on any
@@ -358,6 +364,7 @@ fn concurrent_load_never_tears_an_epoch_or_loses_a_request() {
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.ingest.appends, APPENDS as u64);
     assert_eq!(stats.ingest.compactions, COMPACTIONS as u64);
+    assert_ledgers_balance(&stats);
 }
 
 /// The non-walk families serve their frozen base whatever delta the
