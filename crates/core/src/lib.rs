@@ -178,12 +178,17 @@ pub trait Recommender: Sync {
     /// correct-but-stale, since they would need retraining to absorb new
     /// ratings. A wrapper that forwards `opts` forwards the delta with it.
     ///
-    /// The default implementation *is* the score-then-sort computation
-    /// (through reusable context buffers); recommenders override it with
+    /// The default implementation *is* the score-then-collect computation
+    /// (through reusable context buffers). Five families override it with
     /// fused paths that push candidates straight into the context's
-    /// [`TopKCollector`] — only the visited subgraph for the walk family,
-    /// only the candidate set for kNN / association rules — so no
-    /// `O(n_items)` score vector is materialized or sorted.
+    /// [`TopKCollector`], because each skips work the default cannot: the
+    /// walk family (HT/AT/AC) collects only the visited subgraph, kNN and
+    /// association rules only their candidate set, popularity stops at the
+    /// first rejected item of its presorted order, and PureSVD streams its
+    /// factor dots without materializing the catalog vector. LDA and
+    /// PageRank (PPR/DPPR) use the default: their scoring already touches
+    /// every item, and a full-graph power iteration dominates each PageRank
+    /// query.
     fn recommend_into(
         &self,
         user: u32,

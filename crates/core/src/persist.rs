@@ -634,6 +634,26 @@ mod tests {
             PopularityRecommender::load_from_bytes(w.to_bytes()),
             Err(SnapshotError::MissingSection(_))
         ));
+        // A rating matrix declaring a catalog beyond the u32 id space, with
+        // a valid checksum: HT would panic transposing it and POP would
+        // overflow sizing its counts, unless the load rejects it first.
+        let hostile = |kind: &str| {
+            let mut w = SnapshotWriter::new(kind, 1);
+            w.put_u64s("ratings.dims", &[2, u64::MAX]);
+            w.put_u64s("ratings.row_ptr", &[0, 1, 1]);
+            w.put_u32s("ratings.col_idx", &[0]);
+            w.put_f64s("ratings.values", &[5.0]);
+            w.put_u64s("config", &[10, 5]);
+            w.to_bytes()
+        };
+        assert!(matches!(
+            HittingTimeRecommender::load_from_bytes(hostile("HT")),
+            Err(SnapshotError::InvalidSection { .. })
+        ));
+        assert!(matches!(
+            PopularityRecommender::load_from_bytes(hostile("POP")),
+            Err(SnapshotError::InvalidSection { .. })
+        ));
     }
 
     #[test]

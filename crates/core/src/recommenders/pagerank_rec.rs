@@ -10,7 +10,7 @@
 use crate::context::ScoringContext;
 use crate::recommenders::rated_row;
 use crate::walk_common::rated_item_nodes_into;
-use crate::{RecommendOptions, Recommender, ScoredItem};
+use crate::Recommender;
 use longtail_data::Dataset;
 use longtail_graph::{Adjacency, BipartiteGraph, TransitionMatrix};
 use longtail_markov::{personalized_pagerank_into, PageRankConfig};
@@ -110,51 +110,6 @@ impl Recommender for PageRankRecommender {
                 }
             }
         }));
-    }
-
-    fn recommend_into(
-        &self,
-        user: u32,
-        k: usize,
-        opts: &RecommendOptions<'_>,
-        ctx: &mut ScoringContext,
-        out: &mut Vec<ScoredItem>,
-    ) {
-        // Fused: rank once, then stream the item-node masses through the
-        // bounded heap — no global score vector, no full sort. DPPR prunes
-        // zero-popularity items up front (they carry no walk mass either).
-        ctx.topk.reset(opts.fetch(k));
-        rated_item_nodes_into(&self.graph, user, &mut ctx.seeds);
-        if !ctx.seeds.is_empty() {
-            let rank = personalized_pagerank_into(
-                &self.kernel,
-                &ctx.seeds,
-                &self.config,
-                &mut ctx.pagerank,
-            );
-            let n_users = self.graph.n_users();
-            let rated = self.rated_items(user);
-            for i in 0..self.graph.n_items() {
-                let item = i as u32;
-                if rated.binary_search(&item).is_ok() || opts.is_excluded(item) {
-                    continue;
-                }
-                let mass = rank[n_users + i];
-                let score = match self.flavor {
-                    PageRankFlavor::Plain => mass,
-                    PageRankFlavor::Discounted => {
-                        let pop = self.popularity[i];
-                        if pop == 0 {
-                            continue;
-                        }
-                        mass / pop as f64
-                    }
-                };
-                ctx.topk.push(item, score);
-            }
-        }
-        ctx.topk.drain_sorted_into(out);
-        opts.finalize_topk(k, ctx, out);
     }
 
     fn rated_items(&self, user: u32) -> &[u32] {

@@ -1,9 +1,11 @@
 //! Fused top-k equivalence: property tests over random bipartite graphs.
 //!
-//! Every recommender overrides [`Recommender::recommend_into`] with a fused
-//! path (subgraph-only collection, candidate-set accumulation, streamed
-//! dots). These properties pin the fused contract for all 8 recommender
-//! families:
+//! The walks (HT/AT/AC), kNN, association rules, popularity and PureSVD
+//! override [`Recommender::recommend_into`] with a fused path
+//! (subgraph-only collection, candidate-set accumulation, early exit over a
+//! presorted order, streamed dots); LDA and PageRank (PPR/DPPR) serve
+//! through the trait's default score-then-collect path. These properties
+//! pin the serving contract for all 8 recommender families:
 //!
 //! * under [`DpStopping::Fixed`], `recommend_into(user, k)` is
 //!   **item-for-item and score-for-score identical** to

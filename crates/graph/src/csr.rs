@@ -354,9 +354,9 @@ impl CsrMatrix {
 
     /// Deserialize a matrix written by [`CsrMatrix::save_into`] under the
     /// same `prefix`, validating every CSR invariant fallibly: a snapshot
-    /// whose arrays are well-formed bytes but violate the structure (bad
-    /// `row_ptr` monotonicity, out-of-range or unsorted columns, length
-    /// mismatches) fails with
+    /// whose arrays are well-formed bytes but violate the structure (a
+    /// dimension beyond the `u32` id space, bad `row_ptr` monotonicity,
+    /// out-of-range or unsorted columns, length mismatches) fails with
     /// [`SnapshotError::InvalidSection`](crate::snapshot::SnapshotError::InvalidSection)
     /// rather than panicking.
     pub fn load_from(
@@ -374,6 +374,14 @@ impl CsrMatrix {
                 format!("expected [rows, cols], found {} element(s)", dims.len()),
             ));
         };
+        // Rows and columns are `u32` ids; a larger dimension would overflow
+        // `rows + 1` below or size a catalog-wide allocation downstream.
+        if let Some(&dim) = dims.iter().find(|&&d| u32::try_from(d).is_err()) {
+            return Err(invalid(
+                dims_name,
+                format!("dimension {dim} exceeds the u32 id space"),
+            ));
+        }
         let ptr_name = format!("{prefix}.row_ptr");
         let row_ptr = snap.usizes(&ptr_name)?;
         let col_idx = snap.u32s(&format!("{prefix}.col_idx"))?;
@@ -614,5 +622,25 @@ mod tests {
             CsrMatrix::load_from(&snap, "m"),
             Err(SnapshotError::InvalidSection { .. })
         ));
+        // Dimensions beyond the u32 id space: `rows + 1` would overflow
+        // (an empty row_ptr then matches its wrapped length), and an
+        // otherwise valid 2^40-column catalog would size every per-item
+        // allocation downstream.
+        let cases: [([u64; 2], &[u64]); 2] = [([u64::MAX, 3], &[]), ([2, 1 << 40], &[0, 0, 0])];
+        for (dims, row_ptr) in cases {
+            let mut w = SnapshotWriter::new("CSR", 1);
+            w.put_u64s("m.dims", &dims);
+            w.put_u64s("m.row_ptr", row_ptr);
+            w.put_u32s("m.col_idx", &[]);
+            w.put_f64s("m.values", &[]);
+            let snap = Snapshot::from_bytes(w.to_bytes()).unwrap();
+            assert!(
+                matches!(
+                    CsrMatrix::load_from(&snap, "m"),
+                    Err(SnapshotError::InvalidSection { .. })
+                ),
+                "dims {dims:?} must fail typed"
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@ use crate::pool::ContextPool;
 use crate::queue::{Admission, AdmissionPolicy, Job, JobQueue};
 use crate::request::{RecommendRequest, RecommendResponse, RetryPolicy, ServeError};
 use crate::router::ShardRouter;
-use crate::sched::{Priority, SchedPolicy, ServiceEwma};
+use crate::sched::{Priority, ServiceEwma};
 use crate::submit::{EngineCounters, EngineStats, PendingResponse};
 use longtail_core::{
     DpTelemetry, RecommendOptions, Recommender, RerankIndex, RerankPolicy, Reranker,
@@ -273,9 +273,6 @@ struct EngineCore {
     /// Workers that exited without a clean shutdown, pending respawn by
     /// supervision (see [`Engine::health`]).
     workers_dead: AtomicU64,
-    /// Dequeue ordering policy; slack shedding is active only under
-    /// [`SchedPolicy::Qos`].
-    sched: SchedPolicy,
     /// EWMA of per-model service times — the evidence slack shedding
     /// consults before spending scoring work on a doomed deadline.
     service_times: ServiceEwma,
@@ -301,22 +298,20 @@ impl EngineCore {
             EngineCounters::bump(&class.expired);
             return Err(ServeError::DeadlineExceeded);
         }
-        // Slack-based shedding (Qos only): when the EWMA of this model's
-        // observed service time says even starting now cannot make the
-        // deadline, drop the request before any scoring runs — the worker
-        // time saved serves a request that still can. No estimate (a model
-        // never successfully served) means no shedding: the engine never
-        // refuses on zero evidence.
-        if self.sched == SchedPolicy::Qos {
-            if let (Some(deadline), Some(estimate)) =
-                (req.deadline, self.service_times.estimate(&req.model))
-            {
-                if Instant::now() + estimate >= deadline {
-                    EngineCounters::bump(&self.counters.shed);
-                    EngineCounters::bump(&self.counters.shed_unmeetable);
-                    EngineCounters::bump(&class.shed);
-                    return Err(ServeError::DeadlineExceeded);
-                }
+        // Slack-based shedding: when the EWMA of this model's observed
+        // service time says even starting now cannot make the deadline,
+        // drop the request before any scoring runs — the worker time saved
+        // serves a request that still can. No estimate (a model never
+        // successfully served) means no shedding: the engine never refuses
+        // on zero evidence.
+        if let (Some(deadline), Some(estimate)) =
+            (req.deadline, self.service_times.estimate(&req.model))
+        {
+            if Instant::now() + estimate >= deadline {
+                EngineCounters::bump(&self.counters.shed);
+                EngineCounters::bump(&self.counters.shed_unmeetable);
+                EngineCounters::bump(&class.shed);
+                return Err(ServeError::DeadlineExceeded);
             }
         }
         let started = Instant::now();
@@ -745,12 +740,12 @@ impl EngineHealth {
 /// * [`Engine::recommend`] — inline on the calling thread (lowest latency);
 /// * [`Engine::submit`] — non-blocking enqueue, returning a
 ///   [`PendingResponse`] handle; the queue's [`AdmissionPolicy`] decides
-///   what a full queue does, the engine's [`SchedPolicy`] decides dequeue
-///   order (strict [`Priority`] classes with EDF within a class, by
-///   default), and per-request deadlines shed work that can no longer
-///   answer in time — at dequeue, by slack-based shedding when the
-///   model's observed service time says the deadline is unmeetable, and
-///   cooperatively inside the walk DP;
+///   what a full queue does, dequeue order is strict [`Priority`] classes
+///   with EDF within a class and arrival order as the tie break, and
+///   per-request deadlines shed work that can no longer answer in time —
+///   at dequeue, by slack-based shedding when the model's observed service
+///   time says the deadline is unmeetable, and cooperatively inside the
+///   walk DP;
 /// * [`Engine::recommend_batch`] — fan-out over `submit` plus an in-order
 ///   drain, i.e. the blocking convenience form of the async path.
 ///
@@ -1181,13 +1176,6 @@ impl Engine {
         }
     }
 
-    /// Zero the engine-lifetime telemetry (e.g. between benchmark phases).
-    /// [`Engine::stats`] counters are intentionally not reset (they are
-    /// monotone; use [`EngineStats::since`]).
-    pub fn reset_telemetry(&self) {
-        *self.core.aggregate.lock() = DpTelemetry::default();
-    }
-
     /// Supervision: replace dead worker threads with fresh ones so the
     /// pool stays at its configured size. Runs on every `submit` (cheap: a
     /// single atomic load when nothing died) and on [`Engine::health`].
@@ -1297,16 +1285,16 @@ pub struct EngineBuilder {
     breakers: Option<BreakerConfig>,
     queue_capacity: usize,
     policy: AdmissionPolicy,
-    sched: SchedPolicy,
     model_quota: Option<usize>,
 }
 
 /// Builder-side registry entries (breakers attach at build, once the
-/// engine-wide [`BreakerConfig`] is known). Each carries the provenance
-/// version 1 will report — `InProcess` unless registered via the `_from`
-/// variants.
+/// engine-wide [`BreakerConfig`] is known). Shards carry the provenance
+/// version 1 will report — `InProcess` unless registered via
+/// [`EngineBuilder::sharded_model_from`]; a single model is always
+/// `InProcess`.
 enum BuilderEntry {
-    Single(SharedRecommender, ModelProvenance),
+    Single(SharedRecommender),
     Sharded {
         router: Arc<dyn ShardRouter>,
         shards: Vec<(SharedRecommender, ModelProvenance)>,
@@ -1334,29 +1322,14 @@ impl EngineBuilder {
             breakers: None,
             queue_capacity: Self::DEFAULT_QUEUE_CAPACITY,
             policy: AdmissionPolicy::default(),
-            sched: SchedPolicy::default(),
             model_quota: None,
         }
     }
 
     /// Register `rec` under `name`, replacing any previous registration of
-    /// that name. Provenance reports as "trained in-process"; use
-    /// [`EngineBuilder::model_from`] for snapshot-loaded models.
-    pub fn model(self, name: impl Into<String>, rec: SharedRecommender) -> Self {
-        self.model_from(name, rec, ModelProvenance::InProcess)
-    }
-
-    /// [`EngineBuilder::model`] with explicit provenance — pass
-    /// [`ModelProvenance::Snapshot`] when `rec` was loaded from a snapshot
-    /// file so [`Engine::health`] reports where version 1 came from.
-    pub fn model_from(
-        mut self,
-        name: impl Into<String>,
-        rec: SharedRecommender,
-        provenance: ModelProvenance,
-    ) -> Self {
-        self.models
-            .insert(name.into(), BuilderEntry::Single(rec, provenance));
+    /// that name. Provenance reports as "trained in-process".
+    pub fn model(mut self, name: impl Into<String>, rec: SharedRecommender) -> Self {
+        self.models.insert(name.into(), BuilderEntry::Single(rec));
         self
     }
 
@@ -1381,8 +1354,9 @@ impl EngineBuilder {
         self.sharded_model_from(name, router, shards)
     }
 
-    /// [`EngineBuilder::sharded_model`] with per-shard provenance (see
-    /// [`EngineBuilder::model_from`]).
+    /// [`EngineBuilder::sharded_model`] with per-shard provenance — pass
+    /// [`ModelProvenance::Snapshot`] for a shard loaded from a snapshot file
+    /// so [`Engine::health`] reports where its version 1 came from.
     ///
     /// # Panics
     ///
@@ -1500,17 +1474,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Dequeue ordering of the admission queue. Defaults to
-    /// [`SchedPolicy::Qos`] (strict priority classes, EDF within a class,
-    /// slack-based shedding) — which degrades to exact FIFO for workloads
-    /// that set no priorities and no deadlines. [`SchedPolicy::Fifo`]
-    /// forces literal arrival order and disables slack shedding (the
-    /// measurable baseline).
-    pub fn scheduling(mut self, sched: SchedPolicy) -> Self {
-        self.sched = sched;
-        self
-    }
-
     /// Cap the number of *waiting* queued requests any single model (or
     /// sharded group) may hold, so one hot model's burst cannot occupy the
     /// whole admission queue and starve every other model behind it. A
@@ -1588,7 +1551,9 @@ impl EngineBuilder {
             .into_iter()
             .map(|(name, entry)| {
                 let entry = match entry {
-                    BuilderEntry::Single(rec, prov) => ModelEntry::Single(slot((rec, prov))),
+                    BuilderEntry::Single(rec) => {
+                        ModelEntry::Single(slot((rec, ModelProvenance::InProcess)))
+                    }
                     BuilderEntry::Sharded { router, shards } => ModelEntry::Sharded {
                         router,
                         shards: shards.into_iter().map(slot).collect(),
@@ -1613,16 +1578,10 @@ impl EngineBuilder {
             aggregate: Mutex::new(DpTelemetry::default()),
             counters: EngineCounters::default(),
             workers_dead: AtomicU64::new(0),
-            sched: self.sched,
             service_times: ServiceEwma::new(),
         });
-        let queue = (workers > 0).then(|| {
-            Arc::new(JobQueue::new(
-                self.queue_capacity,
-                self.sched,
-                self.model_quota,
-            ))
-        });
+        let queue =
+            (workers > 0).then(|| Arc::new(JobQueue::new(self.queue_capacity, self.model_quota)));
         let handles = match &queue {
             Some(queue) => (0..workers)
                 .map(|_| spawn_worker(Arc::clone(&core), Arc::clone(queue)))

@@ -24,12 +24,13 @@
 //!   per-request **deadlines** shed expired work at dequeue and cancel the
 //!   walk DP cooperatively mid-query
 //!   ([`ServeError::DeadlineExceeded`]). [`EngineStats`] counts it all.
-//! * **QoS scheduling** — under the default [`SchedPolicy::Qos`] dequeue
-//!   is no longer FIFO: requests carry a [`Priority`] class
-//!   (`Interactive`/`Batch`/`Background`, strict priority across classes,
-//!   earliest-deadline-first within one), **slack-based shedding** drops a
-//!   request at dequeue when the EWMA of its model's observed service time
-//!   proves the deadline unmeetable, and a per-model **admission quota**
+//! * **QoS scheduling** — requests carry a [`Priority`] class
+//!   (`Interactive`/`Batch`/`Background`) and the queue dequeues by strict
+//!   priority across classes, earliest deadline first within one and
+//!   arrival order as the tie break (so unannotated traffic is served in
+//!   arrival order); **slack-based shedding** drops a request at dequeue
+//!   when the EWMA of its model's observed service time proves the
+//!   deadline unmeetable, and a per-model **admission quota**
 //!   ([`EngineBuilder::model_quota`]) stops one hot model's burst from
 //!   occupying the whole queue. [`EngineStats::per_class`] ledgers each
 //!   class (submitted/served/shed/expired plus a fixed-bucket latency
@@ -99,5 +100,5 @@ pub use pool::ContextPool;
 pub use queue::AdmissionPolicy;
 pub use request::{RecommendRequest, RecommendResponse, RetryPolicy, ServeError};
 pub use router::{ModuloRouter, RangeRouter, ShardRouter};
-pub use sched::{latency_bucket_bound, latency_quantile, Priority, SchedPolicy, LATENCY_BUCKETS};
+pub use sched::{latency_bucket_bound, latency_quantile, Priority, LATENCY_BUCKETS};
 pub use submit::{ClassStats, EngineStats, PendingResponse};

@@ -3,12 +3,12 @@
 //! This is the backpressure *and scheduling* point of the async front-end:
 //! submissions pass through a capacity-bounded queue whose full-queue
 //! behaviour is the engine's [`AdmissionPolicy`] and whose dequeue order is
-//! the engine's [`SchedPolicy`] — literal arrival order under
-//! [`SchedPolicy::Fifo`], strict [`crate::Priority`] classes with
-//! earliest-deadline-first ordering inside each class under
-//! [`SchedPolicy::Qos`]. An optional per-model admission quota caps how
-//! many waiting jobs any one model may hold, so a hot model's burst cannot
-//! occupy the whole queue and starve every other model behind it.
+//! strict [`crate::Priority`] classes, earliest deadline first inside each
+//! class, and arrival order as the tie break, so requests with no class
+//! and no deadline are served in arrival order. An optional per-model
+//! admission quota caps how many waiting jobs any one model may hold, so a
+//! hot model's burst cannot occupy the whole queue and starve every other
+//! model behind it.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` (the vendored `parking_lot` stub
 //! deliberately exposes only `Mutex`): two condition variables —
@@ -20,7 +20,6 @@
 //! maintain across mid-queue removals.
 
 use crate::request::{RecommendRequest, RecommendResponse, ServeError};
-use crate::sched::SchedPolicy;
 use std::cmp::Ordering;
 use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -56,8 +55,8 @@ pub(crate) struct Job {
     /// When the job entered the queue — the base of the per-class latency
     /// histogram (submit → response, queueing included).
     pub(crate) enqueued_at: Instant,
-    /// Admission order, assigned by the queue under its lock: the FIFO key,
-    /// and the final tie break of every scheduling comparison.
+    /// Admission order, assigned by the queue under its lock: the final tie
+    /// break of every scheduling comparison.
     pub(crate) seq: u64,
 }
 
@@ -91,9 +90,9 @@ fn deadline_order(a: &Job, b: &Job) -> Ordering {
     }
 }
 
-/// Dequeue order under [`SchedPolicy::Qos`]: strict priority class, EDF
-/// within the class, submission order as the tie break.
-fn qos_order(a: &Job, b: &Job) -> Ordering {
+/// Dequeue order: strict priority class, EDF within the class, submission
+/// order as the tie break.
+fn dequeue_order(a: &Job, b: &Job) -> Ordering {
     a.request
         .priority
         .index()
@@ -165,7 +164,6 @@ pub(crate) struct JobQueue {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    sched: SchedPolicy,
     /// Per-model cap on waiting jobs; `None` disables quotas.
     quota: Option<usize>,
 }
@@ -173,8 +171,8 @@ pub(crate) struct JobQueue {
 impl JobQueue {
     /// An open queue admitting at most `capacity` *waiting* jobs (jobs a
     /// worker has already dequeued don't count against it), dequeued in
-    /// `sched` order, with at most `quota` of them per model when set.
-    pub(crate) fn new(capacity: usize, sched: SchedPolicy, quota: Option<usize>) -> Self {
+    /// [`dequeue_order`], with at most `quota` of them per model when set.
+    pub(crate) fn new(capacity: usize, quota: Option<usize>) -> Self {
         assert!(capacity > 0, "a zero-capacity queue could admit nothing");
         assert!(
             quota.is_none_or(|q| q > 0),
@@ -189,7 +187,6 @@ impl JobQueue {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
-            sched,
             quota,
         }
     }
@@ -255,26 +252,17 @@ impl JobQueue {
         }
     }
 
-    /// Next job in the queue's [`SchedPolicy`] order, blocking while the
-    /// queue is empty but open. `None` means the queue is closed and
-    /// drained: the worker exits.
+    /// Next job in [`dequeue_order`], blocking while the queue is empty but
+    /// open. `None` means the queue is closed and drained: the worker exits.
     pub(crate) fn pop(&self) -> Option<Job> {
         let mut state = self.lock();
         loop {
-            let next = match self.sched {
-                SchedPolicy::Fifo => state
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, j)| j.seq)
-                    .map(|(i, _)| i),
-                SchedPolicy::Qos => state
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| qos_order(a, b))
-                    .map(|(i, _)| i),
-            };
+            let next = state
+                .jobs
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| dequeue_order(a, b))
+                .map(|(i, _)| i);
             if let Some(idx) = next {
                 let job = state.jobs.remove(idx);
                 // notify_all, not notify_one: with per-model quotas "room"
@@ -346,7 +334,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_capacity() {
-        let q = JobQueue::new(2, SchedPolicy::Fifo, None);
+        let q = JobQueue::new(2, None);
         let (a, _ra) = job(0);
         let (b, _rb) = job(1);
         assert!(matches!(
@@ -377,7 +365,7 @@ mod tests {
 
     #[test]
     fn qos_pop_is_strict_priority_then_edf_then_fifo() {
-        let q = JobQueue::new(8, SchedPolicy::Qos, None);
+        let q = JobQueue::new(8, None);
         let far = Instant::now() + Duration::from_secs(3600);
         let near = Instant::now() + Duration::from_secs(60);
         // Arrival order deliberately scrambled against service order.
@@ -403,25 +391,12 @@ mod tests {
         assert_eq!(order, vec![3, 2, 4, 1, 0]);
     }
 
-    #[test]
-    fn fifo_policy_ignores_priorities_and_deadlines() {
-        let q = JobQueue::new(4, SchedPolicy::Fifo, None);
-        let near = Instant::now() + Duration::from_millis(1);
-        let (a, _ra) =
-            job_with(RecommendRequest::new("m", 0, 1).with_priority(Priority::Background));
-        let (b, _rb) = job_with(RecommendRequest::new("m", 1, 1).deadline_at(near));
-        q.push(a, AdmissionPolicy::Block);
-        q.push(b, AdmissionPolicy::Block);
-        assert_eq!(q.pop().unwrap().request.user, 0, "arrival order only");
-        assert_eq!(q.pop().unwrap().request.user, 1);
-    }
-
     /// Regression test for the doc'd ShedOldest contract: the victim is
     /// the job most past caring — deadline gone or nearest — not simply
     /// the FIFO front.
     #[test]
     fn shed_victim_is_nearest_deadline_not_fifo_front() {
-        let q = JobQueue::new(3, SchedPolicy::Qos, None);
+        let q = JobQueue::new(3, None);
         let now = Instant::now();
         // Oldest job has the *farthest* deadline; the middle one is
         // already expired.
@@ -455,7 +430,7 @@ mod tests {
 
     #[test]
     fn shed_victim_prefers_lower_class_on_deadline_ties() {
-        let q = JobQueue::new(2, SchedPolicy::Qos, None);
+        let q = JobQueue::new(2, None);
         let (a, _ra) = job_with(RecommendRequest::new("m", 0, 1)); // Interactive, older
         let (b, _rb) =
             job_with(RecommendRequest::new("m", 1, 1).with_priority(Priority::Background));
@@ -470,7 +445,7 @@ mod tests {
 
     #[test]
     fn model_quota_caps_one_model_without_filling_the_queue() {
-        let q = JobQueue::new(8, SchedPolicy::Qos, Some(2));
+        let q = JobQueue::new(8, Some(2));
         let (a, _ra) = job_with(RecommendRequest::new("hot", 0, 1));
         let (b, _rb) = job_with(RecommendRequest::new("hot", 1, 1));
         q.push(a, AdmissionPolicy::Reject);
@@ -502,7 +477,7 @@ mod tests {
 
     #[test]
     fn quota_blocked_submitter_wakes_when_its_model_drains() {
-        let q = std::sync::Arc::new(JobQueue::new(8, SchedPolicy::Qos, Some(1)));
+        let q = std::sync::Arc::new(JobQueue::new(8, Some(1)));
         let (a, _ra) = job_with(RecommendRequest::new("hot", 0, 1));
         assert!(matches!(
             q.push(a, AdmissionPolicy::Block),
@@ -521,7 +496,7 @@ mod tests {
 
     #[test]
     fn depth_by_class_counts_waiting_jobs() {
-        let q = JobQueue::new(8, SchedPolicy::Qos, None);
+        let q = JobQueue::new(8, None);
         let (a, _ra) = job_with(RecommendRequest::new("m", 0, 1));
         let (b, _rb) = job_with(RecommendRequest::new("m", 1, 1).with_priority(Priority::Batch));
         let (c, _rc) = job_with(RecommendRequest::new("m", 2, 1).with_priority(Priority::Batch));
@@ -533,7 +508,7 @@ mod tests {
 
     #[test]
     fn close_drains_and_unblocks() {
-        let q = JobQueue::new(1, SchedPolicy::Qos, None);
+        let q = JobQueue::new(1, None);
         let (a, ra) = job(7);
         assert!(matches!(
             q.push(a, AdmissionPolicy::Block),
@@ -556,7 +531,7 @@ mod tests {
 
     #[test]
     fn blocked_submitter_wakes_when_a_worker_drains() {
-        let q = std::sync::Arc::new(JobQueue::new(1, SchedPolicy::Qos, None));
+        let q = std::sync::Arc::new(JobQueue::new(1, None));
         let (a, _ra) = job(0);
         assert!(matches!(
             q.push(a, AdmissionPolicy::Block),

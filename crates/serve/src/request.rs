@@ -123,13 +123,11 @@ pub struct RecommendRequest {
     /// ([`crate::EngineBuilder::rerank_index`]); degraded fallback answers
     /// are never re-ranked.
     pub rerank: Option<RerankPolicy>,
-    /// QoS class of this request (default [`Priority::Interactive`]).
-    /// Under [`crate::SchedPolicy::Qos`] the engine dequeues strictly by
-    /// class — every queued `Interactive` request before any `Batch`, every
-    /// `Batch` before any `Background` — with earliest-deadline-first
-    /// ordering inside a class; lower classes are also preferred as shed
-    /// victims. Under [`crate::SchedPolicy::Fifo`] the class is recorded in
-    /// the per-class stats but does not affect ordering.
+    /// QoS class of this request (default [`Priority::Interactive`]). The
+    /// engine dequeues strictly by class — every queued `Interactive`
+    /// request before any `Batch`, every `Batch` before any `Background` —
+    /// with earliest-deadline-first ordering inside a class; lower classes
+    /// are also preferred as shed victims.
     pub priority: Priority,
 }
 

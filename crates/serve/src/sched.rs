@@ -1,28 +1,25 @@
-//! QoS scheduling primitives: request priority classes, the engine's
-//! dequeue policy, the per-model service-time EWMA behind slack-based
-//! shedding, and the fixed-bucket latency histogram behind the per-class
-//! p50/p99 percentiles in [`crate::EngineStats`].
+//! QoS scheduling primitives: request priority classes, the per-model
+//! service-time EWMA behind slack-based shedding, and the fixed-bucket
+//! latency histogram behind the per-class p50/p99 percentiles in
+//! [`crate::EngineStats`].
 //!
-//! Under [`SchedPolicy::Qos`] (the default) the admission queue is no
-//! longer FIFO: dequeue picks by strict priority class first
+//! The admission queue dequeues by strict priority class first
 //! ([`Priority::Interactive`] before [`Priority::Batch`] before
 //! [`Priority::Background`]), earliest deadline first within a class, and
 //! submission order as the tie break. A workload that never sets
-//! priorities or deadlines — every pre-QoS caller — degrades exactly to
-//! FIFO, so the default is behavior-preserving. [`SchedPolicy::Fifo`]
-//! keeps the literal arrival order and disables slack shedding; it exists
-//! as the baseline that `examples/qos_scheduling.rs` and the
-//! `qos_scheduling` tests compare against.
+//! priorities or deadlines is therefore served in exact arrival order.
+//! At dequeue, a request whose deadline the EWMA of its model's service
+//! time says cannot be met is shed before any scoring runs.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// QoS class of a [`crate::RecommendRequest`] — under [`SchedPolicy::Qos`]
-/// the engine serves classes in strict priority order (all queued
-/// `Interactive` work before any `Batch`, all `Batch` before any
-/// `Background`), with earliest-deadline-first ordering inside each class.
+/// QoS class of a [`crate::RecommendRequest`]: the engine serves classes in
+/// strict priority order (all queued `Interactive` work before any `Batch`,
+/// all `Batch` before any `Background`), with earliest-deadline-first
+/// ordering inside each class.
 ///
 /// The default is `Interactive`: a request that never states a class is
 /// user-facing traffic, not an offline job.
@@ -63,23 +60,6 @@ impl Priority {
             Priority::Background => "background",
         }
     }
-}
-
-/// How the engine orders the admitted set at dequeue
-/// ([`crate::EngineBuilder::scheduling`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Literal arrival order, no slack shedding — the pre-QoS engine, kept
-    /// as the measurable baseline.
-    Fifo,
-    /// Strict [`Priority`] classes with earliest-deadline-first ordering
-    /// inside each class, plus slack-based shedding at dequeue: a request
-    /// whose deadline provably cannot be met (given the EWMA of its
-    /// model's observed service time) is dropped before any scoring runs.
-    /// For requests with no priorities and no deadlines this is exactly
-    /// FIFO.
-    #[default]
-    Qos,
 }
 
 /// EWMA weight of the newest observation: small enough that one slow

@@ -233,10 +233,9 @@ pub struct EngineStats {
     /// Dead pool workers detected and respawned by supervision, keeping
     /// the worker count at its configured size.
     pub workers_restarted: u64,
-    /// Admitted requests dropped at dequeue by **slack-based shedding**
-    /// under [`crate::SchedPolicy::Qos`]: the EWMA of the routed model's
-    /// service time said the deadline provably could not be met, so no
-    /// scoring ran (their handles resolve
+    /// Admitted requests dropped at dequeue by **slack-based shedding**:
+    /// the EWMA of the routed model's service time said the deadline
+    /// provably could not be met, so no scoring ran (their handles resolve
     /// [`ServeError::DeadlineExceeded`]). A subset of `shed` — attribution,
     /// not a ledger slot of its own.
     pub shed_unmeetable: u64,

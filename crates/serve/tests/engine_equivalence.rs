@@ -434,19 +434,30 @@ fn per_request_telemetry_sums_into_engine_aggregate() {
         )
         .workers(2)
         .build();
-    let requests: Vec<RecommendRequest> = (0..6)
-        .map(|i| RecommendRequest::new("HT", i % 2, 1))
-        .collect();
-    let mut per_request = 0u64;
-    for result in engine.recommend_batch(requests) {
-        let response = result.unwrap();
-        assert_eq!(response.telemetry.queries, 1, "one DP run per HT query");
-        per_request += response.telemetry.iterations_run;
-    }
+    // Serve one batch of `n` requests; returns the summed per-request
+    // iteration counts.
+    let serve = |n: u32| -> u64 {
+        let requests: Vec<RecommendRequest> = (0..n)
+            .map(|i| RecommendRequest::new("HT", i % 2, 1))
+            .collect();
+        let mut per_request = 0u64;
+        for result in engine.recommend_batch(requests) {
+            let response = result.unwrap();
+            assert_eq!(response.telemetry.queries, 1, "one DP run per HT query");
+            per_request += response.telemetry.iterations_run;
+        }
+        per_request
+    };
+    let first = serve(6);
     let aggregate = engine.telemetry();
     assert_eq!(aggregate.queries, 6);
-    assert_eq!(aggregate.iterations_run, per_request);
-    engine.reset_telemetry();
-    assert_eq!(engine.telemetry().queries, 0);
+    assert_eq!(aggregate.iterations_run, first);
+    // The aggregate is monotone: diffing two snapshots scopes it to the
+    // traffic between them, as `EngineStats::since` does for the counters.
+    let second = serve(4);
+    let window = engine.telemetry().since(&aggregate);
+    assert_eq!(window.queries, 4);
+    assert_eq!(window.iterations_run, second);
+    assert_eq!(engine.telemetry().queries, 10);
     assert_ledgers_balance(&engine.stats());
 }

@@ -5,10 +5,11 @@
 //! contracts:
 //!
 //! * **fault isolation** (property) — an engine with one fault-injected
-//!   model serves byte-identical rankings for every *other* model versus a
-//!   fault-free engine, while the faulty model itself answers every
-//!   request (its POP fallback covers what retries cannot) and each of its
-//!   non-degraded answers ranks as the fault-free engine's does;
+//!   model (fault seeds drawn per case) serves byte-identical rankings for
+//!   every *other* model versus a fault-free engine, while the faulty model
+//!   itself answers every request (its POP fallback covers what retries
+//!   cannot) and each of its non-degraded answers ranks as the fault-free
+//!   engine's does;
 //! * **breaker lifecycle** — trips at the failure threshold, refuses fast
 //!   (submit-time [`ServeError::CircuitOpen`] without spending a queue
 //!   slot), and a successful half-open probe fully closes it;
@@ -16,8 +17,9 @@
 //!   request still answers non-degraded; a retry is abandoned only when
 //!   the deadline has already passed (an oversized backoff is skipped, not
 //!   fatal), and deadline-free requests stop at `max_attempts`;
-//! * **fallback** — an unavailable primary serves the registered fallback
-//!   with [`RecommendResponse::degraded`] set, exactly the fallback's own
+//! * **fallback** — an unavailable primary (its last attempt panicked or
+//!   returned poisoned scores) serves the registered fallback with
+//!   [`RecommendResponse::degraded`] set, exactly the fallback's own
 //!   ranking; once the breaker opens, the primary is not even attempted;
 //! * **poison refusal** — NaN/−∞ scores are refused typed and feed the
 //!   breaker;
@@ -80,14 +82,20 @@ proptest! {
     /// *other* model's rankings — items and scores — stay byte-identical
     /// to a fault-free engine's, and come back non-degraded. The faulty
     /// model itself stays available: every request is answered, and a
-    /// non-degraded answer has the fault-free engine's items.
+    /// non-degraded answer has the fault-free engine's items. Both fault
+    /// seeds are drawn per case, so each case faults a different set of
+    /// calls.
     #[test]
-    fn faulty_model_never_perturbs_other_models(rs in ratings()) {
+    fn faulty_model_never_perturbs_other_models(
+        rs in ratings(),
+        panic_seed in 0u64..u64::MAX,
+        poison_seed in 0u64..u64::MAX,
+    ) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
         let models = roster(&d);
         let plan = FaultPlan::new()
-            .seeded(7, 0.4, FaultKind::Panic)
-            .seeded(9, 0.3, FaultKind::NanScores);
+            .seeded(panic_seed, 0.4, FaultKind::Panic)
+            .seeded(poison_seed, 0.3, FaultKind::NanScores);
 
         let mut chaotic = Engine::builder()
             .workers(0)
@@ -240,12 +248,21 @@ fn deadline_free_requests_retry_exactly_max_attempts_times() {
     assert_ledgers_balance(&stats);
 }
 
+/// Run once with a panicking primary and once with a poisoned one: in the
+/// second run the fallback answers a last attempt that returned NaN
+/// scores.
 #[test]
 fn fallback_serves_degraded_and_open_breaker_stops_feeding_primary() {
+    for fault in [FaultKind::Panic, FaultKind::NanScores] {
+        check_fallback_serves_degraded(fault);
+    }
+}
+
+fn check_fallback_serves_degraded(fault: FaultKind) {
     let d = corpus();
     let faulty = Arc::new(FaultyRecommender::new(
         Arc::new(PopularityRecommender::train(&d)),
-        FaultPlan::new().fault_every(1, 0, FaultKind::Panic),
+        FaultPlan::new().fault_every(1, 0, fault),
     ));
     let pop = Arc::new(PopularityRecommender::train(&d));
     let engine = Engine::builder()
@@ -259,19 +276,23 @@ fn fallback_serves_degraded_and_open_breaker_stops_feeding_primary() {
     let req = |user| RecommendRequest::new("primary", user, 3).excluding(vec![4]);
     for user in 0..4u32 {
         let resp = engine.recommend(&req(user)).expect("fallback must answer");
-        assert!(resp.degraded, "user {user}: primary always panics");
+        assert!(resp.degraded, "{fault:?} user {user}: primary always fails");
         assert_eq!(resp.model, "POP");
         // The degraded list is exactly the fallback's own ranking, request
         // exclusions included.
         let direct = pop.recommend(user, 3);
         let direct: Vec<ScoredItem> = direct.into_iter().filter(|s| s.item != 4).collect();
-        assert_eq!(items_of(&resp.items), items_of(&direct), "user {user}");
+        assert_eq!(
+            items_of(&resp.items),
+            items_of(&direct),
+            "{fault:?} user {user}"
+        );
     }
     let stats = engine.stats();
     assert_eq!(stats.completed, 4);
     assert_eq!(stats.degraded, 4);
 
-    // Two panics tripped the breaker (threshold 2); with the hour-long
+    // Two failures tripped the breaker (threshold 2); with the hour-long
     // cooldown, requests 3 and 4 were answered without the primary being
     // attempted at all.
     let health = engine.health();

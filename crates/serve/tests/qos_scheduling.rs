@@ -7,7 +7,8 @@
 //!   queue, under a binding per-model quota (`ShedOldest`).
 //! * **Strict priority + EDF** — with the worker parked and a scrambled
 //!   submission order, the served order is class-ascending, then earliest
-//!   deadline, then arrival (deadline-free requests after deadlined ones).
+//!   deadline, then arrival (deadline-free requests after deadlined ones,
+//!   and unannotated requests in arrival order among themselves).
 //! * **Quotas** — one model's burst is refused at its quota while the
 //!   queue still has room for other models.
 //! * **Slack shedding** — once the EWMA of a model's service time proves
@@ -24,7 +25,7 @@ use longtail_core::{
 };
 use longtail_data::Dataset;
 use longtail_serve::{
-    AdmissionPolicy, Engine, Priority, RecommendRequest, SchedPolicy, ServeError, SharedRecommender,
+    AdmissionPolicy, Engine, Priority, RecommendRequest, ServeError, SharedRecommender,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,10 +41,10 @@ use common::{
 proptest! {
     /// EDF ordering and per-model quotas never change the *contents* of a
     /// served ranking. The single worker is parked on a gated request, so
-    /// every submission below is reordered in the queue by the Qos
-    /// scheduler before service; the quota of 3 (against 4 requests per
-    /// model) forces the shed path too. Every request that comes back `Ok`
-    /// must match direct `recommend_into` item-for-item, score-for-score.
+    /// every submission below is reordered in the queue by the scheduler
+    /// before service; the quota of 3 (against 4 requests per model)
+    /// forces the shed path too. Every request that comes back `Ok` must
+    /// match direct `recommend_into` item-for-item, score-for-score.
     #[test]
     fn qos_reorders_and_sheds_but_never_perturbs_served_rankings(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
@@ -57,7 +58,6 @@ proptest! {
             .workers(1)
             .queue_capacity(256)
             .admission(AdmissionPolicy::ShedOldest)
-            .scheduling(SchedPolicy::Qos)
             .model_quota(3)
             .model("gated", Arc::new(gated) as SharedRecommender);
         for (name, rec) in &models {
@@ -133,7 +133,6 @@ fn served_order_is_class_then_deadline_then_arrival() {
         .model("gated", Arc::new(gated) as SharedRecommender)
         .workers(1)
         .queue_capacity(8)
-        .scheduling(SchedPolicy::Qos)
         .build();
     let parked = engine
         .submit(RecommendRequest::new("gated", 20, 3))
@@ -142,10 +141,13 @@ fn served_order_is_class_then_deadline_then_arrival() {
     assert_eq!(engine.queue_depth(), 0);
 
     // Scrambled submission order; the EDF schedule is none of FIFO, LIFO
-    // or deadline-only order.
+    // or deadline-only order. Two requests carry neither a class nor a
+    // deadline, the higher user id first, so only arrival order can rank
+    // them.
     let near = Instant::now() + Duration::from_secs(1800);
     let far = Instant::now() + Duration::from_secs(3600);
     let reqs = [
+        RecommendRequest::new("gated", 14, 3),
         RecommendRequest::new("gated", 13, 3)
             .with_priority(Priority::Batch)
             .deadline_at(near),
@@ -157,9 +159,9 @@ fn served_order_is_class_then_deadline_then_arrival() {
         .iter()
         .map(|r| engine.submit(r.clone()).unwrap())
         .collect();
-    assert_eq!(engine.queue_depth(), 4);
+    assert_eq!(engine.queue_depth(), 5);
     // The health surface sees the same backlog, by class.
-    assert_eq!(engine.queue_depth_by_class(), [3, 1, 0]);
+    assert_eq!(engine.queue_depth_by_class(), [4, 1, 0]);
 
     gate.open();
     assert!(parked.wait().is_ok());
@@ -167,46 +169,9 @@ fn served_order_is_class_then_deadline_then_arrival() {
         assert!(p.wait().is_ok(), "generous deadlines: everything serves");
     }
     // Interactive strictly before Batch; EDF within Interactive, with the
-    // deadline-free request last; the near-deadline Batch request cannot
-    // jump the class boundary.
-    assert_eq!(*served_log.lock().unwrap(), vec![20, 10, 11, 12, 13]);
-    assert_ledgers_balance(&engine.stats());
-}
-
-#[test]
-fn fifo_policy_serves_in_arrival_order_despite_priorities() {
-    let gate = Gate::closed();
-    let gated = GatedRecommender::new(
-        HittingTimeRecommender::new(&chain_dataset(), GraphRecConfig::default()),
-        Arc::clone(&gate),
-    );
-    let served_log = Arc::clone(&gated.served);
-    let engine = Engine::builder()
-        .model("gated", Arc::new(gated) as SharedRecommender)
-        .workers(1)
-        .queue_capacity(8)
-        .scheduling(SchedPolicy::Fifo)
-        .build();
-    let parked = engine
-        .submit(RecommendRequest::new("gated", 20, 3))
-        .unwrap();
-    gate.await_arrivals(1);
-
-    let near = Instant::now() + Duration::from_secs(1800);
-    let pending: Vec<_> = [
-        RecommendRequest::new("gated", 13, 3).with_priority(Priority::Background),
-        RecommendRequest::new("gated", 11, 3).deadline_at(near),
-        RecommendRequest::new("gated", 12, 3).with_priority(Priority::Batch),
-    ]
-    .iter()
-    .map(|r| engine.submit(r.clone()).unwrap())
-    .collect();
-    gate.open();
-    assert!(parked.wait().is_ok());
-    for p in pending {
-        assert!(p.wait().is_ok());
-    }
-    assert_eq!(*served_log.lock().unwrap(), vec![20, 13, 11, 12]);
+    // deadline-free requests last and in arrival order; the near-deadline
+    // Batch request cannot jump the class boundary.
+    assert_eq!(*served_log.lock().unwrap(), vec![20, 10, 11, 14, 12, 13]);
     assert_ledgers_balance(&engine.stats());
 }
 
@@ -304,7 +269,6 @@ fn unmeetable_deadline_is_slack_shed_without_running_the_model() {
     let engine = Engine::builder()
         .model("sleepy", Arc::clone(&sleepy) as SharedRecommender)
         .workers(1)
-        .scheduling(SchedPolicy::Qos)
         .build();
 
     // Train the EWMA: two deadline-free serves observe ~200ms each.

@@ -12,10 +12,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
-    // 1. Two engines over the same HT model, one worker each — overload is
-    //    the point. The only difference is the dequeue policy: plain FIFO
-    //    vs the QoS scheduler (strict priority classes, EDF within a
-    //    class, slack-based shedding).
+    // 1. Two identical engines over the same HT model, one worker each —
+    //    overload is the point. Both dequeue by priority class, then
+    //    earliest deadline, then arrival, and shed by slack. One serves the
+    //    mix below with no annotations (so in arrival order), the other
+    //    with each request's class and deadline set.
     let config = SyntheticConfig {
         n_users: 300,
         n_items: 240,
@@ -29,24 +30,26 @@ fn main() {
             iterations: 120,
         },
     ));
-    let build = |sched: SchedPolicy| {
+    let build = || {
         Engine::builder()
             .model("HT", Arc::clone(&ht))
             .workers(1)
             .queue_capacity(256)
-            .scheduling(sched)
             .build()
     };
-    let fifo = build(SchedPolicy::Fifo);
-    let qos = build(SchedPolicy::Qos);
+    let unannotated = build();
+    let annotated = build();
 
     // 2. Calibration: a closed-loop pass measures the per-request service
-    //    time — and trains the QoS engine's per-model EWMA, the evidence
-    //    its slack shedder consults (no estimate, no shedding).
+    //    time — and trains each engine's per-model EWMA, the evidence its
+    //    slack shedder consults (no estimate, no shedding).
     let start = Instant::now();
     for u in 0..32u32 {
-        fifo.recommend(&RecommendRequest::new("HT", u, 5)).unwrap();
-        qos.recommend(&RecommendRequest::new("HT", u, 5)).unwrap();
+        for engine in [&unannotated, &annotated] {
+            engine
+                .recommend(&RecommendRequest::new("HT", u, 5))
+                .unwrap();
+        }
     }
     let estimate = start.elapsed().as_secs_f64() / 64.0;
     println!("calibrated: ~{:.2} ms per request", estimate * 1e3);
@@ -54,44 +57,23 @@ fn main() {
     // 3. The same overload mix through both engines: 60 requests against
     //    one worker — every third Interactive with a deadline at half the
     //    total demand, Batch with a generous one, Background with none.
-    //    FIFO serves in arrival order, so Interactive requests that arrive
-    //    late miss; the QoS scheduler serves the whole Interactive class
-    //    first.
     let n = 60usize;
     let demand = estimate * n as f64;
-    let mix = |engine: &Engine| -> Vec<(Priority, Result<RecommendResponse, ServeError>)> {
-        let now = Instant::now();
-        let pending: Vec<_> = (0..n)
-            .map(|i| {
-                let req = RecommendRequest::new("HT", (i % 300) as u32, 5);
-                let (class, req) = match i % 3 {
-                    0 => (
-                        Priority::Interactive,
-                        req.deadline_at(now + Duration::from_secs_f64(0.5 * demand)),
-                    ),
-                    1 => (
-                        Priority::Batch,
-                        req.with_priority(Priority::Batch)
-                            .deadline_at(now + Duration::from_secs_f64(1.25 * demand)),
-                    ),
-                    _ => (
-                        Priority::Background,
-                        req.with_priority(Priority::Background),
-                    ),
-                };
-                (class, engine.submit(req).expect("capacity 256 admits all"))
-            })
-            .collect();
-        pending.into_iter().map(|(c, p)| (c, p.wait())).collect()
+    let class_and_deadline = |i: usize, now: Instant| match i % 3 {
+        0 => (
+            Priority::Interactive,
+            Some(now + Duration::from_secs_f64(0.5 * demand)),
+        ),
+        1 => (
+            Priority::Batch,
+            Some(now + Duration::from_secs_f64(1.25 * demand)),
+        ),
+        _ => (Priority::Background, None),
     };
-    for (label, engine) in [("FIFO", &fifo), ("QoS ", &qos)] {
-        let outcomes = mix(engine);
+    let report = |label: &str, outcomes: &[(Priority, bool)]| {
         let rate = |class: Priority| {
             let total = outcomes.iter().filter(|(c, _)| *c == class).count();
-            let hit = outcomes
-                .iter()
-                .filter(|(c, r)| *c == class && r.is_ok())
-                .count();
+            let hit = outcomes.iter().filter(|&&(c, ok)| c == class && ok).count();
             format!("{hit}/{total}")
         };
         println!(
@@ -100,20 +82,50 @@ fn main() {
             rate(Priority::Batch),
             rate(Priority::Background),
         );
-    }
+    };
+
+    //    Unannotated, the worker serves in arrival order, so waiting in that
+    //    order sees each completion as it lands; it counts only if it beats
+    //    the deadline its request would have had. Annotated, the engine
+    //    serves Interactive first and sheds what would miss its deadline.
+    let run = |engine: &Engine, annotate: bool| -> Vec<(Priority, bool)> {
+        let now = Instant::now();
+        let pending: Vec<_> = (0..n)
+            .map(|i| {
+                let (class, deadline) = class_and_deadline(i, now);
+                let mut request = RecommendRequest::new("HT", i as u32, 5);
+                if annotate {
+                    request = request.with_priority(class);
+                    request.deadline = deadline;
+                }
+                let pending = engine.submit(request).expect("capacity 256 admits all");
+                (class, deadline, pending)
+            })
+            .collect();
+        pending
+            .into_iter()
+            .map(|(class, deadline, pending)| {
+                let served = pending.wait().is_ok();
+                let in_time = annotate || deadline.is_none_or(|d| Instant::now() <= d);
+                (class, served && in_time)
+            })
+            .collect()
+    };
+    report("unannotated", &run(&unannotated, false));
+    report("annotated  ", &run(&annotated, true));
 
     // 4. Slack shedding: the EWMA says a request takes ~`estimate`; a
-    //    deadline far below that is provably unmeetable, so the QoS engine
+    //    deadline far below that is provably unmeetable, so the engine
     //    drops it at dequeue — a typed failure in microseconds instead of
     //    a worker burning a full service time on an answer nobody can use.
-    let doomed = qos
+    let doomed = annotated
         .submit(
             RecommendRequest::new("HT", 7, 5).deadline_in(Duration::from_secs_f64(estimate * 0.2)),
         )
         .expect("admission is separate from expiry")
         .wait();
     assert_eq!(doomed, Err(ServeError::DeadlineExceeded));
-    let stats: EngineStats = qos.stats();
+    let stats: EngineStats = annotated.stats();
     println!(
         "\nunmeetable deadline -> DeadlineExceeded ({} slack-shed, {} expired at dequeue)",
         stats.shed_unmeetable, stats.expired_at_dequeue
@@ -121,7 +133,7 @@ fn main() {
 
     // 5. Every class keeps its own ledger (plus a latency histogram): each
     //    admitted request lands in exactly one outcome bucket.
-    println!("\nper-class ledgers (QoS engine):");
+    println!("\nper-class ledgers (annotated engine):");
     for (class, priority) in stats.per_class.iter().zip(Priority::ALL) {
         let p99 = class
             .latency_p99()

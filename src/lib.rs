@@ -91,7 +91,7 @@ pub mod prelude {
         DeltaRating, DeltaStore, Engine, EngineBuilder, EngineHealth, EngineStats, FaultKind,
         FaultPlan, FaultyRecommender, IngestStats, ModelHealth, ModelProvenance, ModuloRouter,
         PendingResponse, Priority, RangeRouter, RecommendRequest, RecommendResponse, RetryPolicy,
-        SchedPolicy, ServeError, ShardRouter, VersionRecord,
+        ServeError, ShardRouter, VersionRecord,
     };
     pub use longtail_topics::{LdaConfig, LdaModel};
 }
