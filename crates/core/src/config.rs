@@ -30,7 +30,7 @@ impl Default for GraphRecConfig {
 /// scoring ([`crate::Recommender::score_into`], the Recall@N protocol) is
 /// unaffected — it always runs the full fixed τ so scored values stay
 /// bit-for-bit reproducible.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DpStopping {
     /// Always run the full τ iterations — serving scores are bit-identical
     /// to `top_k` over [`crate::Recommender::score_into`].
@@ -39,40 +39,16 @@ pub enum DpStopping {
     /// exact value fixed point (`δ_t = 0`, bit-identical to the full run),
     /// or when the rank-stability probe certifies the query's top-k list
     /// frozen (no candidate can cross its remaining-change bound) — the
-    /// probe also arbitrates the `δ_t ≤ epsilon · scale` value-convergence
-    /// rule, since converged *values* alone don't pin near-tied *orders*.
-    /// Rankings are identical to [`DpStopping::Fixed`]; the reported
-    /// scores sit within the remaining-change bound above the fixed-τ
-    /// scores.
-    Adaptive {
-        /// Relative convergence threshold for the `δ_t ≤ ε · scale` rule
-        /// (`scale` = largest value so far, floored at 1). Negative
-        /// restricts the convergence rule to exact fixed points.
-        epsilon: f64,
-    },
-}
-
-impl DpStopping {
-    /// Convergence threshold of the default adaptive policy: tight enough
-    /// that a convergence stop perturbs values by well under any score gap
-    /// a real ranking hinges on, loose enough to fire once the DP reaches
-    /// its floating-point plateau.
-    pub const DEFAULT_EPSILON: f64 = 1e-9;
-
-    /// The default adaptive policy.
-    pub fn adaptive() -> Self {
-        Self::Adaptive {
-            epsilon: Self::DEFAULT_EPSILON,
-        }
-    }
-}
-
-impl Default for DpStopping {
-    /// Early termination is on by default: serving stops iterating as soon
-    /// as the top-k list is provably frozen.
-    fn default() -> Self {
-        Self::adaptive()
-    }
+    /// probe also arbitrates the `δ_t ≤ ε · scale` value-convergence rule
+    /// (ε = 1e-9, `scale` = largest value so far, floored at 1), since
+    /// converged *values* alone don't pin near-tied *orders*. Rankings are
+    /// identical to [`DpStopping::Fixed`]; the reported scores sit within
+    /// the remaining-change bound above the fixed-τ scores.
+    ///
+    /// The default: serving stops iterating as soon as the top-k list is
+    /// provably frozen.
+    #[default]
+    Adaptive,
 }
 
 /// A checked request-scoped exclusion set: item ids removed from served
@@ -96,16 +72,6 @@ impl ExclusionSet {
     pub fn new(mut items: Vec<u32>) -> Self {
         items.sort_unstable();
         items.dedup();
-        Self { items }
-    }
-
-    /// Wrap an already-normalized list without re-sorting; debug-asserts
-    /// strictly ascending order.
-    pub fn from_sorted(items: Vec<u32>) -> Self {
-        debug_assert!(
-            items.windows(2).all(|w| w[0] < w[1]),
-            "ExclusionSet::from_sorted requires strictly ascending ids"
-        );
         Self { items }
     }
 
@@ -173,7 +139,7 @@ impl From<Vec<u32>> for ExclusionSet {
 #[derive(Debug, Clone, Copy)]
 pub struct RecommendOptions<'a> {
     /// Stopping policy for the walk family's serving DP (ignored by the
-    /// non-walk families). Defaults to [`DpStopping::adaptive`].
+    /// non-walk families). Defaults to [`DpStopping::Adaptive`].
     pub stopping: DpStopping,
     /// Request-scoped exclusions (normalized at construction — see
     /// [`ExclusionSet`]). Defaults to the shared empty set.
@@ -299,7 +265,7 @@ impl<'a> RecommendOptions<'a> {
     /// The candidate-pool size the fused path must collect for a final
     /// top-`k`: `k` itself without an enabled re-rank policy (the strict
     /// no-op path, bit-identical to pre-rerank serving), otherwise the
-    /// policy's over-fetch M
+    /// policy's `4k` over-fetch
     /// ([`RerankPolicy::effective_pool`](crate::RerankPolicy::effective_pool)).
     #[inline]
     pub fn fetch(&self, k: usize) -> usize {
@@ -365,7 +331,7 @@ mod tests {
     #[test]
     fn options_default_to_adaptive_and_empty_exclusions() {
         let opts = RecommendOptions::new();
-        assert_eq!(opts.stopping, DpStopping::adaptive());
+        assert_eq!(opts.stopping, DpStopping::Adaptive);
         assert!(opts.exclude.is_empty());
         assert!(!opts.is_excluded(0));
         assert!(opts.rerank.is_none());
@@ -378,7 +344,7 @@ mod tests {
         let opts = RecommendOptions::excluding(&hidden);
         assert!(opts.is_excluded(5));
         assert!(!opts.is_excluded(4));
-        assert_eq!(opts.stopping, DpStopping::adaptive());
+        assert_eq!(opts.stopping, DpStopping::Adaptive);
     }
 
     #[test]
@@ -388,8 +354,6 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert!(set.contains(5) && !set.contains(2));
 
-        let sorted = ExclusionSet::from_sorted(vec![1, 2, 3]);
-        assert_eq!(sorted.as_slice(), &[1, 2, 3]);
         assert!(ExclusionSet::empty().is_empty());
         assert_eq!(ExclusionSet::from(vec![3, 1]).as_slice(), &[1, 3]);
     }
@@ -411,12 +375,7 @@ mod tests {
 
     #[test]
     fn stopping_defaults_to_adaptive() {
-        assert_eq!(
-            DpStopping::default(),
-            DpStopping::Adaptive {
-                epsilon: DpStopping::DEFAULT_EPSILON
-            }
-        );
-        assert_eq!(DpStopping::default(), DpStopping::adaptive());
+        assert_eq!(DpStopping::default(), DpStopping::Adaptive);
+        assert_ne!(DpStopping::default(), DpStopping::Fixed);
     }
 }

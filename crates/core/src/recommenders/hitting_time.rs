@@ -172,7 +172,7 @@ mod tests {
         // A deadline already in the past: the walk must abort at its first
         // measured iteration (well short of the 200 budget) and record the
         // cancellation, under both stopping policies.
-        for stopping in [DpStopping::Fixed, DpStopping::adaptive()] {
+        for stopping in [DpStopping::Fixed, DpStopping::Adaptive] {
             ctx.reset_dp_telemetry();
             let opts = RecommendOptions::with_stopping(stopping).deadline_at(Instant::now());
             rec.recommend_into(4, 3, &opts, &mut ctx, &mut out);

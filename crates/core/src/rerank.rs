@@ -2,7 +2,7 @@
 //!
 //! The walk scorers rank purely by proximity, which concentrates exposure
 //! on the short head — the exact failure mode the paper measures against
-//! (§5's coverage and diversity tables). This module re-ranks a top-M
+//! (§5's coverage and diversity tables). This module re-ranks a top-`4k`
 //! candidate pool *after* scoring, so it composes with every fused serving
 //! path (adaptive stopping, overlays, recency decay) without touching the
 //! walk itself:
@@ -15,7 +15,8 @@
 //!   percentile (fraction of the catalog with strictly fewer ratings),
 //!   trading head exposure for tail exposure continuously.
 //! - **Hard tail quota** — at least `tail_quota` of the final `k` must be
-//!   tail items (popularity percentile below `tail_cutoff`) whenever the
+//!   tail items (popularity percentile below
+//!   [`RerankIndex::TAIL_CUTOFF`], the paper's 80/20 split) whenever the
 //!   pool can satisfy it; unsatisfiable quotas degrade gracefully to
 //!   best-available rather than emitting short lists.
 //!
@@ -30,37 +31,25 @@ use longtail_data::Dataset;
 /// (and, in `longtail-serve`, from per-request / per-QoS-class engine
 /// defaults).
 ///
+/// The knobs weigh the candidates; the candidates themselves are fixed. An
+/// enabled policy re-ranks the walk's top `4k`
+/// ([`RerankPolicy::effective_pool`]), and which of them count as tail is
+/// fixed by [`RerankIndex::TAIL_CUTOFF`].
+///
 /// `#[non_exhaustive]` + builder methods: future knobs are non-breaking.
 /// The default policy is disabled — see [`RerankPolicy::is_enabled`].
 #[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RerankPolicy {
     /// MMR trade-off λ ∈ [0, 1]: `0` ranks purely by (normalized)
     /// relevance, `1` purely by dissimilarity to already-selected items.
     pub mmr_lambda: f64,
     /// Weight of the linear popularity-percentile penalty (≥ 0).
     pub popularity_penalty: f64,
-    /// Minimum tail items among the final `k` (clamped to `k`; best-effort
-    /// when the candidate pool holds fewer tail items).
+    /// Minimum tail items ([`RerankIndex::tail`]) among the final `k`
+    /// (clamped to `k`; best-effort when the candidate pool holds fewer
+    /// tail items).
     pub tail_quota: usize,
-    /// Candidate-pool size M the fused path over-fetches before
-    /// re-ranking. `0` means the default `4 * k`; always clamped to ≥ `k`.
-    pub pool_size: usize,
-    /// Popularity-percentile boundary below which an item counts as tail.
-    /// The default `0.8` reproduces the paper's 80/20 head/tail split.
-    pub tail_cutoff: f64,
-}
-
-impl Default for RerankPolicy {
-    fn default() -> Self {
-        Self {
-            mmr_lambda: 0.0,
-            popularity_penalty: 0.0,
-            tail_quota: 0,
-            pool_size: 0,
-            tail_cutoff: 0.8,
-        }
-    }
 }
 
 impl RerankPolicy {
@@ -87,19 +76,6 @@ impl RerankPolicy {
         self
     }
 
-    /// Set the over-fetched candidate-pool size M (`0` = default `4k`).
-    pub fn pool(mut self, m: usize) -> Self {
-        self.pool_size = m;
-        self
-    }
-
-    /// Set the head/tail popularity-percentile boundary (clamped to
-    /// `[0, 1]`).
-    pub fn tail_cutoff(mut self, cutoff: f64) -> Self {
-        self.tail_cutoff = cutoff.clamp(0.0, 1.0);
-        self
-    }
-
     /// Whether any knob is active. A disabled policy is a guaranteed
     /// no-op on the serving path (no over-fetch, no re-order).
     pub fn is_enabled(&self) -> bool {
@@ -107,18 +83,14 @@ impl RerankPolicy {
     }
 
     /// The candidate-pool size the fused path should collect for a final
-    /// top-`k`: `k` itself when disabled (bit-identity), otherwise
-    /// `pool_size` (default `4k`, saturating) clamped to at least `k`.
+    /// top-`k`: `k` itself when disabled (bit-identity), otherwise `4k`
+    /// (saturating, so never below `k`).
     pub fn effective_pool(&self, k: usize) -> usize {
-        if !self.is_enabled() || k == 0 {
-            return k;
-        }
-        let m = if self.pool_size > 0 {
-            self.pool_size
-        } else {
+        if self.is_enabled() {
             k.saturating_mul(4)
-        };
-        m.max(k)
+        } else {
+            k
+        }
     }
 }
 
@@ -141,6 +113,10 @@ pub struct RerankIndex {
 }
 
 impl RerankIndex {
+    /// Popularity-percentile boundary below which an item counts as tail:
+    /// the paper's 80/20 head/tail split.
+    pub const TAIL_CUTOFF: f64 = 0.8;
+
     /// Build the index from training data.
     pub fn from_dataset(train: &Dataset) -> Self {
         let degrees = train.item_popularity();
@@ -211,10 +187,10 @@ impl RerankIndex {
         self.percentiles[item as usize]
     }
 
-    /// Whether `item` is a tail item under `cutoff` (percentile strictly
-    /// below it).
-    pub fn tail(&self, item: u32, cutoff: f64) -> bool {
-        self.percentile(item) < cutoff
+    /// Whether `item` is a tail item: its percentile lies strictly below
+    /// [`RerankIndex::TAIL_CUTOFF`].
+    pub fn tail(&self, item: u32) -> bool {
+        self.percentile(item) < Self::TAIL_CUTOFF
     }
 
     /// The (ascending) users who rated `item`.
@@ -271,7 +247,8 @@ impl<'a> Reranker<'a> {
 pub struct ItemProvenance {
     /// Popularity percentile of the item (`0` = least popular).
     pub popularity_percentile: f64,
-    /// Whether the item counted as tail under the policy's cutoff.
+    /// Whether the item counted as tail (popularity percentile below
+    /// [`RerankIndex::TAIL_CUTOFF`]).
     pub tail: bool,
     /// `pool rank − final rank`: positive means the re-ranker promoted
     /// the item past better-scored candidates.
@@ -355,9 +332,7 @@ pub(crate) fn apply(
     }));
 
     scratch.tail.clear();
-    scratch
-        .tail
-        .extend(pool.iter().map(|s| index.tail(s.item, policy.tail_cutoff)));
+    scratch.tail.extend(pool.iter().map(|s| index.tail(s.item)));
     let mut tail_remaining = scratch.tail.iter().filter(|&&t| t).count();
 
     scratch.max_sim.clear();
@@ -428,7 +403,9 @@ mod tests {
     use super::*;
     use longtail_data::Rating;
 
-    /// 6 items with degrees 3, 3, 2, 1, 1, 0 over 4 users.
+    /// 15 items over 4 users with degrees 3, 3, 2, 1, 1 and then ten
+    /// unrated items, so the 80/20 cutoff puts items 0–2 in the head and
+    /// every other item in the tail.
     fn corpus() -> Dataset {
         let ratings = [
             (0, 0, 5.0),
@@ -443,10 +420,10 @@ mod tests {
             (3, 4, 5.0),
         ]
         .map(|(user, item, value)| Rating { user, item, value });
-        Dataset::from_ratings(4, 6, &ratings)
+        Dataset::from_ratings(4, 15, &ratings)
     }
 
-    fn pool(items: &[(u32, f64)]) -> Vec<ScoredItem> {
+    fn candidates(items: &[(u32, f64)]) -> Vec<ScoredItem> {
         items
             .iter()
             .map(|&(item, score)| ScoredItem { item, score })
@@ -456,18 +433,19 @@ mod tests {
     #[test]
     fn index_percentiles_and_tail_follow_degrees() {
         let index = RerankIndex::from_dataset(&corpus());
-        assert_eq!(index.n_items(), 6);
+        assert_eq!(index.n_items(), 15);
         assert_eq!(index.degree(0), 3);
         assert_eq!(index.degree(5), 0);
-        // Items 0 and 1 (degree 3) outrank 4 of 6 items.
-        assert!((index.percentile(0) - 4.0 / 6.0).abs() < 1e-12);
+        // Items 0 and 1 (degree 3) outrank 13 of 15 items.
+        assert!((index.percentile(0) - 13.0 / 15.0).abs() < 1e-12);
         assert_eq!(index.percentile(5), 0.0);
-        // 80/20 split: only nothing reaches percentile ≥ 0.8 here, so the
-        // head is empty and everything is tail at the default cutoff…
-        assert!(index.tail(0, 0.8));
-        // …while a cutoff of 0.5 splits the catalog by the degree-2 line.
-        assert!(!index.tail(0, 0.5));
-        assert!(index.tail(3, 0.5));
+        // 80/20 split: item 2 outranks exactly 12 of 15 (percentile 0.8),
+        // which is head, since only a percentile strictly below the cutoff
+        // is tail…
+        assert_eq!(index.percentile(2), RerankIndex::TAIL_CUTOFF);
+        assert!(!index.tail(0) && !index.tail(1) && !index.tail(2));
+        // …and the degree-1 and unrated items are tail.
+        assert!(index.tail(3) && index.tail(4) && index.tail(5));
     }
 
     #[test]
@@ -494,7 +472,7 @@ mod tests {
         assert!(!reranker.policy.is_enabled());
         assert_eq!(reranker.policy.effective_pool(10), 10);
         let mut scratch = RerankScratch::default();
-        let mut out = pool(&[(0, 3.0), (2, 2.0), (3, 1.0)]);
+        let mut out = candidates(&[(0, 3.0), (2, 2.0), (3, 1.0)]);
         let want = out.clone();
         apply(&reranker, 3, &mut scratch, &mut out);
         assert_eq!(out, want);
@@ -505,24 +483,25 @@ mod tests {
     fn effective_pool_defaults_to_4k_and_clamps_below_k() {
         let enabled = RerankPolicy::new().tail_quota(1);
         assert_eq!(enabled.effective_pool(10), 40);
-        // Over-fetch M < k: clamped back up to k, never a short list.
-        assert_eq!(enabled.pool(3).effective_pool(10), 10);
-        assert_eq!(enabled.pool(25).effective_pool(10), 25);
         assert_eq!(enabled.effective_pool(0), 0);
         // A hostile k saturates instead of overflowing.
         assert_eq!(enabled.effective_pool(usize::MAX), usize::MAX);
+        // The pool never falls below k, so a re-ranked list is never short.
+        for k in [1, 7, usize::MAX / 4, usize::MAX / 4 + 1, usize::MAX - 1] {
+            assert!(enabled.effective_pool(k) >= k, "k = {k}");
+        }
     }
 
     #[test]
     fn popularity_penalty_reorders_toward_tail() {
         let index = RerankIndex::from_dataset(&corpus());
-        // Item 0 (head, percentile 4/6) barely outscores item 3 (tail,
-        // percentile 1/6) relative to the pool's score span: a mild
+        // Item 0 (head, percentile 13/15) barely outscores item 3 (tail,
+        // percentile 10/15) relative to the pool's score span: a mild
         // penalty flips them. Item 5 anchors the span so normalization
         // keeps the 0-vs-3 relevance gap small.
         let reranker = Reranker::new(&index, RerankPolicy::new().popularity_penalty(0.5));
         let mut scratch = RerankScratch::default();
-        let mut out = pool(&[(0, 1.0), (3, 0.99), (5, 0.0)]);
+        let mut out = candidates(&[(0, 1.0), (3, 0.99), (5, 0.0)]);
         apply(&reranker, 2, &mut scratch, &mut out);
         assert_eq!(out[0].item, 3);
         assert_eq!(out[1].item, 0);
@@ -541,7 +520,7 @@ mod tests {
         // strong λ the second pick must jump to the dissimilar item.
         let reranker = Reranker::new(&index, RerankPolicy::new().mmr(0.9));
         let mut scratch = RerankScratch::default();
-        let mut out = pool(&[(0, 1.0), (2, 0.99), (1, 0.98), (4, 0.9)]);
+        let mut out = candidates(&[(0, 1.0), (2, 0.99), (1, 0.98), (4, 0.9)]);
         apply(&reranker, 2, &mut scratch, &mut out);
         assert_eq!(out[0].item, 0, "first pick is still the top score");
         assert_eq!(out[1].item, 4, "second pick avoids the shared-rater clones");
@@ -550,12 +529,12 @@ mod tests {
     #[test]
     fn tail_quota_forces_tail_items_in() {
         let index = RerankIndex::from_dataset(&corpus());
-        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(2).tail_cutoff(0.5));
+        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(2));
         let mut scratch = RerankScratch::default();
         // Head items 0, 1 dominate by score; tail items 3, 4 trail.
-        let mut out = pool(&[(0, 1.0), (1, 0.9), (3, 0.2), (4, 0.1)]);
+        let mut out = candidates(&[(0, 1.0), (1, 0.9), (3, 0.2), (4, 0.1)]);
         apply(&reranker, 3, &mut scratch, &mut out);
-        let tails = out.iter().filter(|s| index.tail(s.item, 0.5)).count();
+        let tails = out.iter().filter(|s| index.tail(s.item)).count();
         assert_eq!(tails, 2, "quota must be met: {out:?}");
         assert_eq!(out[0].item, 0, "best head item still leads");
     }
@@ -563,23 +542,23 @@ mod tests {
     #[test]
     fn tail_quota_larger_than_k_clamps() {
         let index = RerankIndex::from_dataset(&corpus());
-        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(10).tail_cutoff(0.5));
+        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(10));
         let mut scratch = RerankScratch::default();
-        let mut out = pool(&[(0, 1.0), (3, 0.2), (4, 0.1)]);
+        let mut out = candidates(&[(0, 1.0), (3, 0.2), (4, 0.1)]);
         apply(&reranker, 2, &mut scratch, &mut out);
         assert_eq!(out.len(), 2);
         // Quota clamps to k = 2, so both slots go to tail items.
-        assert!(out.iter().all(|s| index.tail(s.item, 0.5)), "{out:?}");
+        assert!(out.iter().all(|s| index.tail(s.item)), "{out:?}");
     }
 
     #[test]
     fn unsatisfiable_quota_fills_with_best_available() {
         let index = RerankIndex::from_dataset(&corpus());
-        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(3).tail_cutoff(0.5));
+        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(3));
         let mut scratch = RerankScratch::default();
         // Only one tail candidate in the pool: quota of 3 cannot be met,
         // but the list must still fill all 3 slots.
-        let mut out = pool(&[(0, 1.0), (1, 0.9), (2, 0.8), (4, 0.1)]);
+        let mut out = candidates(&[(0, 1.0), (1, 0.9), (2, 0.8), (4, 0.1)]);
         apply(&reranker, 3, &mut scratch, &mut out);
         assert_eq!(out.len(), 3);
         assert!(
@@ -591,14 +570,14 @@ mod tests {
     #[test]
     fn all_head_catalog_degrades_to_relevance_order() {
         let index = RerankIndex::from_dataset(&corpus());
-        // Cutoff 0: no item is tail, the quota is unsatisfiable from the
+        // Every candidate is head: the quota is unsatisfiable from the
         // start, and the penalty-free policy keeps relevance order.
-        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(2).tail_cutoff(0.0));
+        let reranker = Reranker::new(&index, RerankPolicy::new().tail_quota(2));
         let mut scratch = RerankScratch::default();
-        let mut out = pool(&[(0, 1.0), (3, 0.9), (4, 0.8)]);
+        let mut out = candidates(&[(1, 1.0), (2, 0.9), (0, 0.8)]);
         apply(&reranker, 3, &mut scratch, &mut out);
         let items: Vec<u32> = out.iter().map(|s| s.item).collect();
-        assert_eq!(items, vec![0, 3, 4]);
+        assert_eq!(items, vec![1, 2, 0]);
         assert!(scratch.trace().iter().all(|p| !p.tail));
     }
 
@@ -607,7 +586,7 @@ mod tests {
         let index = RerankIndex::from_dataset(&corpus());
         let reranker = Reranker::new(&index, RerankPolicy::new().popularity_penalty(0.1));
         let mut scratch = RerankScratch::default();
-        let mut out = pool(&[(2, 1.0), (3, 0.5)]);
+        let mut out = candidates(&[(2, 1.0), (3, 0.5)]);
         apply(&reranker, 10, &mut scratch, &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(scratch.trace().len(), 2);

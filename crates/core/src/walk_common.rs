@@ -48,6 +48,12 @@ use std::time::Instant;
 /// the probe's own cost, so only the (nearly free) convergence rule runs.
 const PROBE_MIN_BUDGET: usize = 32;
 
+/// Relative threshold ε of [`DpStopping::Adaptive`]'s `δ_t ≤ ε · scale`
+/// convergence rule: tight enough that a convergence stop perturbs values
+/// by well under any score gap a real ranking hinges on, loose enough to
+/// fire once the DP reaches its floating-point plateau.
+const ADAPTIVE_EPSILON: f64 = 1e-9;
+
 /// Where a walk absorbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Absorb {
@@ -410,7 +416,7 @@ pub(crate) fn run_truncated_walk<G: GraphView>(
             rated,
             extra,
             rated_absorbing,
-            stopping: DpStopping::Adaptive { epsilon },
+            stopping: DpStopping::Adaptive,
             deadline,
         } => {
             // The deadline check the DP consults on measured iterations.
@@ -463,7 +469,7 @@ pub(crate) fn run_truncated_walk<G: GraphView>(
             // ε-convergence stop, so restrict the rule to exact fixed
             // points (δ = 0) — those are rank-safe unconditionally.
             let (epsilon, probe_dyn): (f64, RankProbe<'_>) = if iterations >= PROBE_MIN_BUDGET {
-                (epsilon, Some(&mut probe))
+                (ADAPTIVE_EPSILON, Some(&mut probe))
             } else {
                 (-1.0, None)
             };

@@ -183,3 +183,31 @@ fn timestamp_section_is_optional_and_checked() {
         other => panic!("expected an invalid times section, got {other:?}"),
     }
 }
+
+/// A long-tail catalog is mostly unrated items, so a genuine snapshot can
+/// declare more items than it has bytes. It must load and serve like any
+/// other: a load-time bound on the declared catalog may refuse only files
+/// that cannot be loaded.
+#[test]
+fn sparse_catalog_larger_than_its_snapshot_round_trips() {
+    const USERS: u32 = 20;
+    const ITEMS: usize = 4_000;
+    // Every user rates one of seven shared items and one item of their own.
+    let rs: Vec<Rating> = (0..USERS)
+        .flat_map(|user| {
+            [(user % 7, 4.0), (100 + user, 5.0)].map(|(item, value)| Rating { user, item, value })
+        })
+        .collect();
+    let d = Dataset::from_ratings(USERS as usize, ITEMS, &rs);
+    let ht = HittingTimeRecommender::new(&d, GraphRecConfig::default());
+    let pop = PopularityRecommender::train(&d);
+    for bytes in [ht.to_snapshot_bytes(), pop.to_snapshot_bytes()] {
+        assert!(
+            bytes.len() < ITEMS,
+            "the catalog must outnumber the snapshot's {} bytes",
+            bytes.len()
+        );
+    }
+    check_round_trip(&ht, &d).unwrap();
+    check_round_trip(&pop, &d).unwrap();
+}

@@ -85,7 +85,7 @@ fn check_exclusion_equivalence(rec: &dyn Recommender, d: &Dataset) -> Result<(),
     let mut fused: Vec<ScoredItem> = Vec::new();
     // A deterministic spread: every third item, plus the catalog boundary.
     let exclude = ExclusionSet::new((0..N_ITEMS as u32).step_by(3).collect());
-    for stopping in [DpStopping::Fixed, DpStopping::adaptive()] {
+    for stopping in [DpStopping::Fixed, DpStopping::Adaptive] {
         let opts = RecommendOptions::new().stopping(stopping).exclude(&exclude);
         for u in 0..d.n_users() as u32 {
             let scores = rec.score_items(u);
@@ -127,7 +127,7 @@ fn check_adaptive_rank_equivalence(
 ) -> Result<(), TestCaseError> {
     let mut ctx = ScoringContext::new();
     let opts = RecommendOptions::default();
-    prop_assert_eq!(opts.stopping, DpStopping::adaptive());
+    prop_assert_eq!(opts.stopping, DpStopping::Adaptive);
     let mut fused: Vec<ScoredItem> = Vec::new();
     for u in 0..d.n_users() as u32 {
         let scores = rec.score_items(u);
@@ -256,7 +256,7 @@ proptest! {
     }
 
     #[test]
-    fn pagerank_fused_matches_score_then_sort(rs in ratings()) {
+    fn pagerank_default_path_matches_score_then_sort(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
         check_both(&PageRankRecommender::plain(&d), &d)?;
         check_both(&PageRankRecommender::discounted(&d), &d)?;
@@ -290,7 +290,7 @@ proptest! {
     }
 
     #[test]
-    fn lda_fused_matches_score_then_sort(rs in ratings()) {
+    fn lda_default_path_matches_score_then_sort(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
         // Few sweeps: training accuracy is irrelevant to the equivalence.
         let rec = LdaRecommender::train_with(

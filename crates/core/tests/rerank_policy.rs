@@ -93,7 +93,7 @@ proptest! {
         let mut plain_list: Vec<ScoredItem> = Vec::new();
         let mut reranked: Vec<ScoredItem> = Vec::new();
         for rec in &roster(&d) {
-            for stopping in [DpStopping::Fixed, DpStopping::adaptive()] {
+            for stopping in [DpStopping::Fixed, DpStopping::Adaptive] {
                 let plain = RecommendOptions::with_stopping(stopping);
                 let off = RecommendOptions::with_stopping(stopping)
                     .rerank(Reranker::new(&index, disabled));

@@ -89,9 +89,9 @@ enum State {
     Open {
         since: Instant,
     },
-    HalfOpen {
-        probe_in_flight: bool,
-    },
+    /// The one recovery probe is in flight: the breaker only enters this
+    /// state by handing the probe out.
+    HalfOpen,
 }
 
 #[derive(Debug)]
@@ -142,22 +142,13 @@ impl CircuitBreaker {
             State::Closed { .. } => BreakerDecision::Allow,
             State::Open { since } => {
                 if since.elapsed() >= inner.config.cooldown {
-                    inner.state = State::HalfOpen {
-                        probe_in_flight: true,
-                    };
+                    inner.state = State::HalfOpen;
                     BreakerDecision::Probe
                 } else {
                     BreakerDecision::Refuse
                 }
             }
-            State::HalfOpen { probe_in_flight } => {
-                if *probe_in_flight {
-                    BreakerDecision::Refuse
-                } else {
-                    *probe_in_flight = true;
-                    BreakerDecision::Probe
-                }
-            }
+            State::HalfOpen => BreakerDecision::Refuse,
         }
     }
 
@@ -172,7 +163,7 @@ impl CircuitBreaker {
         match &inner.state {
             State::Closed { .. } => false,
             State::Open { since } => since.elapsed() < inner.config.cooldown,
-            State::HalfOpen { probe_in_flight } => *probe_in_flight,
+            State::HalfOpen => true,
         }
     }
 
@@ -185,7 +176,7 @@ impl CircuitBreaker {
             State::Closed { window, failures } => {
                 Self::push_outcome(window, failures, cap, false);
             }
-            State::HalfOpen { .. } if probe => {
+            State::HalfOpen if probe => {
                 inner.state = State::Closed {
                     window: VecDeque::with_capacity(inner.config.window),
                     failures: 0,
@@ -194,7 +185,7 @@ impl CircuitBreaker {
             // A non-probe straggler (admitted before the trip) finishing
             // while half-open or open carries no fresh evidence the probe
             // isn't about to produce; ignore it.
-            State::HalfOpen { .. } | State::Open { .. } => {}
+            State::HalfOpen | State::Open { .. } => {}
         }
     }
 
@@ -202,8 +193,7 @@ impl CircuitBreaker {
     /// expiry). Trips a closed breaker at the window threshold; re-opens a
     /// half-open one whose probe failed. Straggler failures while half-open
     /// also re-open — a model still failing is not recovered.
-    pub(crate) fn record_failure(&self, probe: bool) {
-        let _ = probe;
+    pub(crate) fn record_failure(&self) {
         let Some(mut inner) = self.lock() else { return };
         let cap = inner.config.window;
         let threshold = inner.config.failure_threshold;
@@ -217,7 +207,7 @@ impl CircuitBreaker {
                     inner.trips += 1;
                 }
             }
-            State::HalfOpen { .. } => {
+            State::HalfOpen => {
                 inner.state = State::Open {
                     since: Instant::now(),
                 };
@@ -247,10 +237,7 @@ impl CircuitBreaker {
     /// was observed).
     pub(crate) fn abandon_probe(&self) {
         let Some(mut inner) = self.lock() else { return };
-        if let State::HalfOpen {
-            probe_in_flight: true,
-        } = inner.state
-        {
+        if matches!(inner.state, State::HalfOpen) {
             inner.state = State::Open {
                 since: Instant::now(),
             };
@@ -270,7 +257,7 @@ impl CircuitBreaker {
                 ..
             }) => BreakerState::Open,
             Some(Inner {
-                state: State::HalfOpen { .. },
+                state: State::HalfOpen,
                 ..
             }) => BreakerState::HalfOpen,
         }
@@ -299,7 +286,7 @@ mod tests {
         let b = CircuitBreaker::new(None);
         for _ in 0..10 {
             assert_eq!(b.admit(), BreakerDecision::Allow);
-            b.record_failure(false);
+            b.record_failure();
         }
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(!b.would_refuse());
@@ -310,9 +297,9 @@ mod tests {
     fn trips_at_threshold_and_refuses() {
         let b = CircuitBreaker::new(config(4, 2, Duration::from_secs(60)));
         assert_eq!(b.admit(), BreakerDecision::Allow);
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Closed, "one failure is tolerated");
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.trips(), 1);
         assert_eq!(b.admit(), BreakerDecision::Refuse);
@@ -322,19 +309,19 @@ mod tests {
     #[test]
     fn window_forgets_old_failures() {
         let b = CircuitBreaker::new(config(3, 2, Duration::from_secs(60)));
-        b.record_failure(false);
+        b.record_failure();
         b.record_success(false);
         b.record_success(false);
         // The failure has rolled out of the 3-wide window.
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn cooldown_admits_one_probe_then_success_fully_closes() {
         let b = CircuitBreaker::new(config(4, 2, Duration::ZERO));
-        b.record_failure(false);
-        b.record_failure(false);
+        b.record_failure();
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
         // Zero cooldown: the next admission is the probe; concurrent
         // requests are still refused while it is in flight.
@@ -349,18 +336,18 @@ mod tests {
         // FULLY closed: the pre-trip failures are forgotten with the old
         // window, so one fresh failure sits at 1 of 2 — below threshold —
         // instead of instantly re-tripping on stale history.
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Closed);
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Open, "fresh window still counts");
     }
 
     #[test]
     fn failed_probe_reopens() {
         let b = CircuitBreaker::new(config(2, 1, Duration::ZERO));
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.admit(), BreakerDecision::Probe);
-        b.record_failure(true);
+        b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.trips(), 2);
         // A new cooldown gates the next probe (zero here, so immediate).
@@ -373,7 +360,7 @@ mod tests {
     #[test]
     fn abandoned_probe_reopens_instead_of_wedging() {
         let b = CircuitBreaker::new(config(2, 1, Duration::ZERO));
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.admit(), BreakerDecision::Probe);
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // Without abandon_probe, this breaker would now refuse forever:
@@ -395,7 +382,7 @@ mod tests {
     #[test]
     fn open_before_cooldown_refuses() {
         let b = CircuitBreaker::new(config(2, 1, Duration::from_secs(3600)));
-        b.record_failure(false);
+        b.record_failure();
         assert_eq!(b.admit(), BreakerDecision::Refuse);
         assert_eq!(b.state(), BreakerState::Open);
     }

@@ -137,8 +137,9 @@ impl ModelSlot {
     ///
     /// Lock order: an ingest store's state, then this slot's history, then
     /// its active version. A compaction commit publishes under the store
-    /// lock; `records` takes history → active and an ingest read's pin
-    /// takes store → active, so no path takes them in reverse.
+    /// lock and an ingest read's pin takes store → active, so no path takes
+    /// them in reverse. The active version is always the history's last
+    /// entry: both change together under the history lock.
     fn publish(
         &self,
         rec: SharedRecommender,
@@ -161,19 +162,19 @@ impl ModelSlot {
         version
     }
 
-    /// The deploy history as public rows, plus the active version number.
-    fn records(&self) -> (u32, Vec<VersionRecord>) {
+    /// The deploy history as public rows, oldest first; the last row is
+    /// the active version.
+    fn records(&self) -> Vec<VersionRecord> {
         let history = self.history.lock();
-        let active = self.active.lock().version;
-        let rows = history
+        let active = history.last().map_or(0, |r| r.version);
+        history
             .iter()
             .map(|r| VersionRecord {
                 version: r.version,
                 provenance: r.provenance.clone(),
                 retired: r.version != active && r.handle.strong_count() == 0,
             })
-            .collect();
-        (active, rows)
+            .collect()
     }
 }
 
@@ -430,30 +431,17 @@ impl EngineCore {
                     return Ok(resp);
                 }
                 Err(err) => {
-                    version.breaker.record_failure(probe);
+                    version.breaker.record_failure();
                     pledge.settle();
                     if !retryable(&err) || attempt_no >= retry.max_attempts {
                         break err;
                     }
                     // A retry only needs to *start* before the deadline —
                     // the walk DP cancels cooperatively mid-flight if it
-                    // then expires. Only a deadline already in the past
-                    // abandons the retry; a backoff pause that would not
-                    // fit in the remaining time is skipped (retry
-                    // immediately) rather than turning a servable retry
-                    // into a guaranteed expiry.
-                    let pause = match req.deadline {
-                        Some(deadline) => {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break err;
-                            }
-                            now + retry.backoff < deadline
-                        }
-                        None => true,
-                    };
-                    if pause && !retry.backoff.is_zero() {
-                        std::thread::sleep(retry.backoff);
+                    // then expires — so only a deadline already in the past
+                    // abandons it.
+                    if req.deadline.is_some_and(|d| Instant::now() >= d) {
+                        break err;
                     }
                     EngineCounters::bump(&self.counters.retries);
                 }
@@ -1143,15 +1131,10 @@ impl Engine {
                 let mut provenance = Vec::new();
                 let mut deploy_history = Vec::new();
                 for slot in entry.slots() {
-                    let (active, records) = slot.records();
-                    versions.push(active);
-                    provenance.push(
-                        records
-                            .iter()
-                            .find(|r| r.version == active)
-                            .map(|r| r.provenance.clone())
-                            .unwrap_or(ModelProvenance::InProcess),
-                    );
+                    let records = slot.records();
+                    let active = records.last().expect("a slot's history is never empty");
+                    versions.push(active.version);
+                    provenance.push(active.provenance.clone());
                     deploy_history.push(records);
                 }
                 ModelHealth {

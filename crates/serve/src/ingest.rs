@@ -214,11 +214,6 @@ impl DeltaStore {
         }
     }
 
-    /// A store over `base` with the default [`DeltaConfig`].
-    pub fn with_defaults(base: Dataset) -> Self {
-        Self::new(base, DeltaConfig::default())
-    }
-
     /// Accept one rating append. O(1) amortized: the rating lands in the
     /// pending log; every `publish_every`-th append folds the log into the
     /// live delta and advances the epoch. Returns the epoch the append is
@@ -500,7 +495,7 @@ mod tests {
 
     #[test]
     fn snapshots_pin_their_epoch_across_later_publishes() {
-        let store = DeltaStore::with_defaults(base());
+        let store = DeltaStore::new(base(), DeltaConfig::default());
         store.append(rating(0, 1, 3.0, 1.0));
         store.publish();
         let pinned = store.snapshot();
@@ -528,7 +523,7 @@ mod tests {
 
     #[test]
     fn stats_count_appends_publishes_and_live_edges() {
-        let store = DeltaStore::with_defaults(base());
+        let store = DeltaStore::new(base(), DeltaConfig::default());
         store.append_batch(&[rating(0, 1, 3.0, 1.0), rating(1, 0, 2.0, 2.0)]);
         store.publish();
         let s = store.stats();
@@ -621,19 +616,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn non_positive_values_are_rejected() {
-        DeltaStore::with_defaults(base()).append(rating(0, 0, 0.0, 0.0));
+        DeltaStore::new(base(), DeltaConfig::default()).append(rating(0, 0, 0.0, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn infinite_values_are_rejected() {
-        DeltaStore::with_defaults(base()).append(rating(0, 0, f64::INFINITY, 0.0));
+        DeltaStore::new(base(), DeltaConfig::default()).append(rating(0, 0, f64::INFINITY, 0.0));
     }
 
     #[test]
     fn a_bad_rating_rejects_its_whole_batch() {
         for bad in [f64::INFINITY, 0.0] {
-            let store = DeltaStore::with_defaults(base());
+            let store = DeltaStore::new(base(), DeltaConfig::default());
             let batch = [rating(0, 1, 3.0, 1.0), rating(1, 1, bad, 2.0)];
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 store.append_batch(&batch)

@@ -14,43 +14,31 @@ use longtail_core::{
 /// on a **fresh** [`longtail_core::ScoringContext`], since the one a panic
 /// unwound through is discarded as poisoned. Deadline expiries, unknown
 /// models and open breakers are never retried: the first is already out of
-/// time and the others cannot change between attempts. A retry must
-/// *start* before the request's deadline — after it, the attempt is
-/// abandoned (an answer past the deadline is useless at full cost); when
-/// the backoff pause itself would not fit in the remaining time, the retry
-/// runs immediately instead, since the walk DP cancels cooperatively
-/// mid-flight if the deadline then expires.
+/// time and the others cannot change between attempts. A retry runs at
+/// once, with no pause, and only while the request's deadline has not
+/// passed — after it, the retry is abandoned (an answer past the deadline
+/// is useless at full cost). A retry that starts in time needs no more:
+/// the walk DP cancels cooperatively mid-flight if the deadline then
+/// expires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, the first included (so `max_attempts: 1` means "no
     /// retries" and is what `Default` gives).
     pub max_attempts: u32,
-    /// Pause before each retry (constant; attempt 2 and later).
-    pub backoff: std::time::Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 1,
-            backoff: std::time::Duration::ZERO,
-        }
+        Self { max_attempts: 1 }
     }
 }
 
 impl RetryPolicy {
-    /// Up to `max_attempts` total attempts with no pause between them.
+    /// Up to `max_attempts` total attempts (at least one).
     pub fn attempts(max_attempts: u32) -> Self {
         Self {
             max_attempts: max_attempts.max(1),
-            backoff: std::time::Duration::ZERO,
         }
-    }
-
-    /// Set the pause inserted before each retry.
-    pub fn with_backoff(mut self, backoff: std::time::Duration) -> Self {
-        self.backoff = backoff;
-        self
     }
 }
 
@@ -343,8 +331,6 @@ mod tests {
     fn retry_policy_floors_at_one_attempt() {
         assert_eq!(RetryPolicy::attempts(0).max_attempts, 1);
         assert_eq!(RetryPolicy::default().max_attempts, 1);
-        let p = RetryPolicy::attempts(3).with_backoff(std::time::Duration::from_millis(5));
-        assert_eq!(p.max_attempts, 3);
-        assert_eq!(p.backoff, std::time::Duration::from_millis(5));
+        assert_eq!(RetryPolicy::attempts(3).max_attempts, 3);
     }
 }

@@ -234,7 +234,7 @@ fn engine_rerank_threads_policy_and_provenance_end_to_end() {
         assert_eq!(prov.len(), reranked.items.len());
         for (item, p) in reranked.items.iter().zip(prov) {
             assert_eq!(p.popularity_percentile, index.percentile(item.item));
-            assert_eq!(p.tail, index.tail(item.item, policy.tail_cutoff));
+            assert_eq!(p.tail, index.tail(item.item));
         }
         // Same pool, same scores: the re-ranked list is a permutation of a
         // prefix of the over-fetched pool, so every served item must score

@@ -14,9 +14,9 @@
 //!   (submit-time [`ServeError::CircuitOpen`] without spending a queue
 //!   slot), and a successful half-open probe fully closes it;
 //! * **retry** — a transient panic is retried on a fresh context and the
-//!   request still answers non-degraded; a retry is abandoned only when
-//!   the deadline has already passed (an oversized backoff is skipped, not
-//!   fatal), and deadline-free requests stop at `max_attempts`;
+//!   request still answers non-degraded; a retry runs while the deadline
+//!   has not passed and is abandoned once it has, and deadline-free
+//!   requests stop at `max_attempts`;
 //! * **fallback** — an unavailable primary (its last attempt panicked or
 //!   returned poisoned scores) serves the registered fallback with
 //!   [`RecommendResponse::degraded`] set, exactly the fallback's own
@@ -183,13 +183,10 @@ fn retry_recovers_from_transient_panic() {
 }
 
 #[test]
-fn retry_starts_within_deadline_even_when_backoff_would_not_fit() {
-    // Regression for the over-eager abandon guard: the old check refused
-    // to retry whenever `now + backoff >= deadline`, turning a perfectly
-    // servable retry into a guaranteed failure. A retry only needs to
-    // *start* before the deadline (the DP cancels cooperatively if it then
-    // expires), so an oversized backoff is skipped — the retry runs
-    // immediately — rather than abandoned.
+fn retry_runs_while_the_deadline_has_not_passed() {
+    // A retry only needs to *start* before the deadline (the DP cancels
+    // cooperatively if it then expires), so a transient panic under a
+    // deadline that has not yet passed is retried and served.
     let d = corpus();
     let plan = FaultPlan::new().fault_on_call(0, FaultKind::Panic);
     let pop = Arc::new(PopularityRecommender::train(&d));
@@ -201,24 +198,55 @@ fn retry_starts_within_deadline_even_when_backoff_would_not_fit() {
         )
         .build();
 
-    let started = std::time::Instant::now();
     let resp = engine
         .recommend(
             &RecommendRequest::new("POP", 0, 3)
-                .with_retry(RetryPolicy::attempts(2).with_backoff(Duration::from_secs(10)))
+                .with_retry(RetryPolicy::attempts(2))
                 .deadline_in(Duration::from_secs(2)),
         )
-        .expect("the retry fits the deadline; the backoff must not");
+        .expect("the retry starts within the deadline");
     assert!(!resp.degraded);
     assert_eq!(resp.items, pop.recommend(0, 3));
-    assert!(
-        started.elapsed() < Duration::from_secs(2),
-        "the 10s backoff must have been skipped, not slept"
-    );
     let stats = engine.stats();
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.expired_at_dequeue + stats.expired_in_dp, 0);
+    assert_ledgers_balance(&stats);
+}
+
+#[test]
+fn retry_is_abandoned_once_the_deadline_has_passed() {
+    // An attempt that fails after the deadline has passed is not retried,
+    // however many attempts remain. The outer plan stalls the first
+    // attempt past the deadline before the inner plan panics it. The
+    // deadline leaves a scheduler stall before execution ample room, so
+    // the request is not expired at dequeue instead.
+    let d = corpus();
+    let inner = Arc::new(FaultyRecommender::new(
+        Arc::new(PopularityRecommender::train(&d)),
+        FaultPlan::new().fault_on_call(0, FaultKind::Panic),
+    ));
+    let outer = FaultyRecommender::new(
+        inner.clone(),
+        FaultPlan::new().fault_on_call(0, FaultKind::Latency(Duration::from_secs(1))),
+    );
+    let engine = Engine::builder()
+        .workers(0)
+        .model("POP", Arc::new(outer) as SharedRecommender)
+        .build();
+
+    let err = engine
+        .recommend(
+            &RecommendRequest::new("POP", 0, 3)
+                .with_retry(RetryPolicy::attempts(3))
+                .deadline_in(Duration::from_millis(250)),
+        )
+        .unwrap_err();
+    assert!(matches!(err, ServeError::RequestPanicked(_)), "{err:?}");
+    assert_eq!(inner.calls_made(), 1, "no attempt after the deadline");
+    let stats = engine.stats();
+    assert_eq!(stats.retries, 0);
+    assert_eq!(stats.panicked, 1);
     assert_ledgers_balance(&stats);
 }
 

@@ -232,7 +232,10 @@ fn deploying_an_ingest_model_panics() {
     let base = corpus();
     let engine = Engine::builder()
         .model("HT", ht(&base))
-        .ingest("HT", Arc::new(DeltaStore::with_defaults(base.clone())))
+        .ingest(
+            "HT",
+            Arc::new(DeltaStore::new(base.clone(), DeltaConfig::default())),
+        )
         .workers(0)
         .build();
     let _ = engine.deploy("HT", ht(&base));
@@ -244,7 +247,7 @@ fn deploying_an_ingest_model_panics() {
 #[should_panic(expected = "share one ingest store")]
 fn one_store_attached_to_two_models_panics() {
     let base = corpus();
-    let store = Arc::new(DeltaStore::with_defaults(base.clone()));
+    let store = Arc::new(DeltaStore::new(base.clone(), DeltaConfig::default()));
     Engine::builder()
         .model("HT", ht(&base))
         .ingest("HT", store.clone())

@@ -42,7 +42,7 @@ fn main() {
         policy.mmr_lambda,
         policy.popularity_penalty,
         policy.tail_quota,
-        policy.tail_cutoff * 100.0
+        RerankIndex::TAIL_CUTOFF * 100.0
     );
 
     // 3. Serve every user's top-10 twice through the fused batch path:
@@ -85,7 +85,7 @@ fn main() {
             .lists
             .iter()
             .flatten()
-            .filter(|s| index.tail(s.item, policy.tail_cutoff))
+            .filter(|s| index.tail(s.item))
             .count()
     };
     println!(

@@ -165,7 +165,7 @@ fn adaptive_early_termination_serves_the_golden_rankings() {
     let train = fixture_dataset();
     let expected = std::fs::read_to_string(golden_dir().join("expected_top10.tsv"))
         .expect("tests/golden/expected_top10.tsv is committed with the repo");
-    let got = render_lists(&train, DpStopping::adaptive());
+    let got = render_lists(&train, DpStopping::Adaptive);
 
     let parse = |line: &str| -> (String, Vec<(u32, f64)>) {
         let mut fields = line.split('\t');
