@@ -14,8 +14,7 @@
 //! * [`timing`] — online per-query latency (Table 5);
 //! * [`user_study`] — the simulated 50-judge study (Table 6), standing in
 //!   for the paper's human judges;
-//! * [`report`] — result containers and Markdown rendering shared by the
-//!   experiment binaries.
+//! * [`report`] — the [`Series`] container the figure binaries fill.
 
 #![warn(missing_docs)]
 
@@ -34,7 +33,7 @@ pub use quality::{
     TailRecallSplit,
 };
 pub use recall::{recall_at_n, RecallConfig, RecallCurve};
-pub use report::{format_num, series_to_markdown, Series, Table};
+pub use report::Series;
 pub use timing::{
     time_batch_recommendations, time_batch_scoring, time_recommendations,
     time_recommendations_with_stopping, TimingStats,

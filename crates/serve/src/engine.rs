@@ -310,7 +310,6 @@ impl EngineCore {
         {
             if Instant::now() + estimate >= deadline {
                 EngineCounters::bump(&self.counters.shed);
-                EngineCounters::bump(&self.counters.shed_unmeetable);
                 EngineCounters::bump(&class.shed);
                 return Err(ServeError::DeadlineExceeded);
             }
@@ -721,9 +720,9 @@ impl EngineHealth {
 /// The multi-model serving engine.
 ///
 /// An `Engine` owns a registry of named models (optionally sharded by a
-/// [`ShardRouter`]), a [`ContextPool`] of reusable scoring contexts, and —
-/// unless built with `workers(0)` — a pool of persistent worker threads
-/// draining a **bounded admission queue**. Three request paths:
+/// [`ShardRouter`]), a [`ContextPool`] of reusable scoring contexts, and a
+/// pool of persistent worker threads (at least one) draining a **bounded
+/// admission queue**. Three request paths:
 ///
 /// * [`Engine::recommend`] — inline on the calling thread (lowest latency);
 /// * [`Engine::submit`] — non-blocking enqueue, returning a
@@ -779,9 +778,8 @@ impl EngineHealth {
 /// ```
 pub struct Engine {
     core: Arc<EngineCore>,
-    /// Bounded job queue feeding the worker pool; `None` when built with 0
-    /// workers (submissions then run inline).
-    queue: Option<Arc<JobQueue>>,
+    /// Bounded job queue feeding the worker pool.
+    queue: Arc<JobQueue>,
     policy: AdmissionPolicy,
     /// The pool, under a lock so supervision can swap dead handles for
     /// fresh ones.
@@ -812,11 +810,8 @@ impl Engine {
     ///
     /// Admission is governed by the engine's [`AdmissionPolicy`] when the
     /// bounded queue is full: `Block` waits for a slot (the only way this
-    /// method blocks), `Reject` returns [`ServeError::Overloaded`]
-    /// immediately, and `ShedOldest` admits this request by resolving the
-    /// oldest queued request's handle with `Overloaded`. An engine built
-    /// with `workers(0)` has no queue and serves submissions synchronously
-    /// on the calling thread (the handle comes back already resolved).
+    /// method blocks), and `Reject` returns [`ServeError::Overloaded`]
+    /// immediately.
     ///
     /// Two fault-tolerance hooks run here: dead workers detected by
     /// supervision are respawned before the request enqueues, and a
@@ -838,27 +833,12 @@ impl Engine {
                 }
             }
         }
-        let Some(queue) = &self.queue else {
-            EngineCounters::bump(&self.core.counters.submitted);
-            EngineCounters::bump(&self.core.counters.class(request.priority).submitted);
-            return Ok(PendingResponse::ready(
-                self.core.serve_admitted(&request, Instant::now()),
-            ));
-        };
         let priority = request.priority;
         let (reply, rx) = mpsc::channel();
-        match queue.push(Job::new(request, reply), self.policy) {
+        match self.queue.push(Job::new(request, reply), self.policy) {
             Admission::Enqueued => {
                 EngineCounters::bump(&self.core.counters.submitted);
                 EngineCounters::bump(&self.core.counters.class(priority).submitted);
-                Ok(PendingResponse::new(rx))
-            }
-            Admission::Shed(victim) => {
-                EngineCounters::bump(&self.core.counters.submitted);
-                EngineCounters::bump(&self.core.counters.class(priority).submitted);
-                EngineCounters::bump(&self.core.counters.shed);
-                EngineCounters::bump(&self.core.counters.class(victim.request.priority).shed);
-                victim.refuse(ServeError::Overloaded);
                 Ok(PendingResponse::new(rx))
             }
             Admission::Rejected => {
@@ -870,14 +850,14 @@ impl Engine {
     }
 
     /// Serve a batch as fan-out over [`Engine::submit`] plus an in-order
-    /// drain (or inline, in order, when built with `workers(0)`).
+    /// drain.
     ///
     /// `results[j]` answers `requests[j]`; per-request failures (unknown
     /// model, shed, expired) are returned in place, never aborting the rest
     /// of the batch. Under the default [`AdmissionPolicy::Block`] every
     /// request is admitted and the batch behaves exactly like the blocking
-    /// API of previous releases; under `Reject`/`ShedOldest` a saturated
-    /// queue surfaces [`ServeError::Overloaded`] in the affected slots.
+    /// API of previous releases; under `Reject` a saturated queue surfaces
+    /// [`ServeError::Overloaded`] in the affected slots.
     pub fn recommend_batch(
         &self,
         requests: Vec<RecommendRequest>,
@@ -1083,17 +1063,15 @@ impl Engine {
     }
 
     /// Number of submitted requests currently waiting in the admission
-    /// queue (0 for a zero-worker engine).
+    /// queue.
     pub fn queue_depth(&self) -> usize {
-        self.queue.as_ref().map_or(0, |q| q.depth())
+        self.queue.depth()
     }
 
     /// Waiting requests per [`Priority`] class (indexed by
-    /// [`Priority::index`]; all zero for a zero-worker engine).
+    /// [`Priority::index`]).
     pub fn queue_depth_by_class(&self) -> [usize; Priority::COUNT] {
-        self.queue
-            .as_ref()
-            .map_or([0; Priority::COUNT], |q| q.depth_by_class())
+        self.queue.depth_by_class()
     }
 
     /// Engine-lifetime [`DpTelemetry`], merged (via [`DpTelemetry::merge`])
@@ -1166,12 +1144,11 @@ impl Engine {
         if self.core.workers_dead.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let Some(queue) = &self.queue else { return };
         let mut workers = self.workers.lock();
         let mut respawned: u64 = 0;
         for handle in workers.iter_mut() {
             if handle.is_finished() {
-                let fresh = spawn_worker(Arc::clone(&self.core), Arc::clone(queue));
+                let fresh = spawn_worker(Arc::clone(&self.core), Arc::clone(&self.queue));
                 let dead = std::mem::replace(handle, fresh);
                 let _ = dead.join();
                 EngineCounters::bump(&self.core.counters.workers_restarted);
@@ -1196,12 +1173,10 @@ impl Drop for Engine {
         // not-yet-started request (each pending handle resolves
         // `ShuttingDown`), so the join below waits only for the at most
         // `n_workers` requests already mid-execution — never for a backlog.
-        if let Some(queue) = &self.queue {
-            for job in queue.close_and_drain() {
-                EngineCounters::bump(&self.core.counters.cancelled_at_shutdown);
-                EngineCounters::bump(&self.core.counters.class(job.request.priority).failed);
-                job.refuse(ServeError::ShuttingDown);
-            }
+        for job in self.queue.close_and_drain() {
+            EngineCounters::bump(&self.core.counters.cancelled_at_shutdown);
+            EngineCounters::bump(&self.core.counters.class(job.request.priority).failed);
+            job.refuse(ServeError::ShuttingDown);
         }
         for worker in self.workers.lock().drain(..) {
             let _ = worker.join();
@@ -1268,7 +1243,6 @@ pub struct EngineBuilder {
     breakers: Option<BreakerConfig>,
     queue_capacity: usize,
     policy: AdmissionPolicy,
-    model_quota: Option<usize>,
 }
 
 /// Builder-side registry entries (breakers attach at build, once the
@@ -1305,7 +1279,6 @@ impl EngineBuilder {
             breakers: None,
             queue_capacity: Self::DEFAULT_QUEUE_CAPACITY,
             policy: AdmissionPolicy::default(),
-            model_quota: None,
         }
     }
 
@@ -1428,11 +1401,12 @@ impl EngineBuilder {
     }
 
     /// Number of persistent worker threads backing [`Engine::submit`] and
-    /// [`Engine::recommend_batch`]. `0` disables the pool (submissions and
-    /// batches run inline on the calling thread). Defaults to the
-    /// available parallelism.
+    /// [`Engine::recommend_batch`]. Defaults to the available parallelism.
+    /// `0` is raised to 1: submissions are served only by the pool, so an
+    /// engine always has a worker (inline serving is
+    /// [`Engine::recommend`]).
     pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
+        self.workers = Some(n.max(1));
         self
     }
 
@@ -1454,23 +1428,6 @@ impl EngineBuilder {
     /// queue is full. Defaults to [`AdmissionPolicy::Block`].
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Cap the number of *waiting* queued requests any single model (or
-    /// sharded group) may hold, so one hot model's burst cannot occupy the
-    /// whole admission queue and starve every other model behind it. A
-    /// model at its quota is treated as "queue full" for its own requests
-    /// — the [`AdmissionPolicy`] engages, with `ShedOldest` evicting
-    /// within the same model — while other models' requests still enter
-    /// freely. Defaults to no quota.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 (no model could ever enqueue anything).
-    pub fn model_quota(mut self, n: usize) -> Self {
-        assert!(n > 0, "a zero model quota could admit nothing");
-        self.model_quota = Some(n);
         self
     }
 
@@ -1563,14 +1520,10 @@ impl EngineBuilder {
             workers_dead: AtomicU64::new(0),
             service_times: ServiceEwma::new(),
         });
-        let queue =
-            (workers > 0).then(|| Arc::new(JobQueue::new(self.queue_capacity, self.model_quota)));
-        let handles = match &queue {
-            Some(queue) => (0..workers)
-                .map(|_| spawn_worker(Arc::clone(&core), Arc::clone(queue)))
-                .collect(),
-            None => Vec::new(),
-        };
+        let queue = Arc::new(JobQueue::new(self.queue_capacity));
+        let handles = (0..workers)
+            .map(|_| spawn_worker(Arc::clone(&core), Arc::clone(&queue)))
+            .collect();
         Engine {
             core,
             queue,

@@ -19,8 +19,8 @@
 //!   and returns a [`PendingResponse`] handle
 //!   (`try_recv`/`wait_timeout`/`wait`, no async runtime required); the
 //!   **bounded admission queue** applies an explicit backpressure policy
-//!   ([`AdmissionPolicy::Block`] / [`AdmissionPolicy::Reject`] /
-//!   [`AdmissionPolicy::ShedOldest`] → [`ServeError::Overloaded`]), and
+//!   ([`AdmissionPolicy::Block`] waits for a slot,
+//!   [`AdmissionPolicy::Reject`] → [`ServeError::Overloaded`]), and
 //!   per-request **deadlines** shed expired work at dequeue and cancel the
 //!   walk DP cooperatively mid-query
 //!   ([`ServeError::DeadlineExceeded`]). [`EngineStats`] counts it all.
@@ -30,17 +30,16 @@
 //!   arrival order as the tie break (so unannotated traffic is served in
 //!   arrival order); **slack-based shedding** drops a request at dequeue
 //!   when the EWMA of its model's observed service time proves the
-//!   deadline unmeetable, and a per-model **admission quota**
-//!   ([`EngineBuilder::model_quota`]) stops one hot model's burst from
-//!   occupying the whole queue. [`EngineStats::per_class`] ledgers each
-//!   class (submitted/served/shed/expired plus a fixed-bucket latency
-//!   histogram with p50/p99), and the scheduler only ever reorders or
-//!   sheds — a served ranking is identical to the blocking path's.
+//!   deadline unmeetable. [`EngineStats::per_class`] ledgers each class
+//!   (submitted/served/shed/expired plus a fixed-bucket latency histogram
+//!   with p50/p99), and the scheduler only ever reorders or sheds — a
+//!   served ranking is identical to the blocking path's.
 //! * **Context pooling** — requests run in [`ContextPool`]-recycled
 //!   [`longtail_core::ScoringContext`]s: no `O(n_nodes)` buffer setup per
 //!   query, on any thread.
 //! * **Persistent worker pool** — submissions drain through long-lived
-//!   worker threads; [`Engine::recommend_batch`] is fan-out over
+//!   worker threads (at least one; inline serving is
+//!   [`Engine::recommend`]); [`Engine::recommend_batch`] is fan-out over
 //!   [`Engine::submit`] plus an in-order drain, and engine drop cancels
 //!   the queued backlog so shutdown is bounded-time.
 //! * **Fault tolerance (opt-in)** — [`EngineBuilder::breakers`] arms a
@@ -99,6 +98,6 @@ pub use ingest::{
 pub use pool::ContextPool;
 pub use queue::AdmissionPolicy;
 pub use request::{RecommendRequest, RecommendResponse, RetryPolicy, ServeError};
-pub use router::{ModuloRouter, RangeRouter, ShardRouter};
+pub use router::{ModuloRouter, ShardRouter};
 pub use sched::{latency_bucket_bound, latency_quantile, Priority, LATENCY_BUCKETS};
 pub use submit::{ClassStats, EngineStats, PendingResponse};

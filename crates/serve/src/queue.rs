@@ -5,19 +5,16 @@
 //! behaviour is the engine's [`AdmissionPolicy`] and whose dequeue order is
 //! strict [`crate::Priority`] classes, earliest deadline first inside each
 //! class, and arrival order as the tie break, so requests with no class
-//! and no deadline are served in arrival order. An optional per-model
-//! admission quota caps how many waiting jobs any one model may hold, so a
-//! hot model's burst cannot occupy the whole queue and starve every other
-//! model behind it.
+//! and no deadline are served in arrival order.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` (the vendored `parking_lot` stub
 //! deliberately exposes only `Mutex`): two condition variables —
 //! `not_empty` wakes idle workers, `not_full` wakes blocked submitters —
 //! and a closed flag that turns both waits into immediate returns at
 //! shutdown. The admitted set is small by construction (at most
-//! `capacity` jobs), so dequeue and victim selection are O(capacity)
-//! scans instead of a heap — no allocation, no ordering invariant to
-//! maintain across mid-queue removals.
+//! `capacity` jobs), so dequeue is an O(capacity) scan instead of a heap —
+//! no allocation, no ordering invariant to maintain across mid-queue
+//! removals.
 
 use crate::request::{RecommendRequest, RecommendResponse, ServeError};
 use std::cmp::Ordering;
@@ -38,13 +35,6 @@ pub enum AdmissionPolicy {
     /// [`ServeError::Overloaded`] without blocking (open-loop producers
     /// that would rather drop than queue).
     Reject,
-    /// Admit the new request by shedding the queued one most *past caring*
-    /// — its deadline already gone or nearest, lowest priority class and
-    /// oldest submission as tie breaks — whose [`crate::PendingResponse`]
-    /// resolves to [`ServeError::Overloaded`]. `submit` never blocks and
-    /// fresh traffic is never refused. When the full queue holds no
-    /// deadlines at all, the victim degrades to the oldest queued request.
-    ShedOldest,
 }
 
 /// One queued unit of work: a request plus the one-shot reply channel its
@@ -73,7 +63,7 @@ impl Job {
         }
     }
 
-    /// Resolve this job without serving it (shed / cancelled). A dead
+    /// Resolve this job without serving it (cancelled at shutdown). A dead
     /// receiver just means nobody is waiting any more.
     pub(crate) fn refuse(self, error: ServeError) {
         let _ = self.reply.send(Err(error));
@@ -101,16 +91,6 @@ fn dequeue_order(a: &Job, b: &Job) -> Ordering {
         .then(a.seq.cmp(&b.seq))
 }
 
-/// Shed-victim order: the job most past caring first — deadline already
-/// gone or nearest (deadline-free jobs only after every deadlined one),
-/// then the *lowest* priority class, then the oldest submission. With no
-/// deadlines and one class this degrades to plain oldest-first.
-fn victim_order(a: &Job, b: &Job) -> Ordering {
-    deadline_order(a, b)
-        .then_with(|| b.request.priority.index().cmp(&a.request.priority.index()))
-        .then(a.seq.cmp(&b.seq))
-}
-
 struct QueueState {
     jobs: Vec<Job>,
     /// Cleared exactly once, at engine shutdown.
@@ -119,39 +99,12 @@ struct QueueState {
     next_seq: u64,
 }
 
-impl QueueState {
-    fn model_depth(&self, model: &str) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.request.model == model)
-            .count()
-    }
-
-    /// Index of the shed victim among `jobs`, restricted to `model`'s jobs
-    /// when the binding limit is a per-model quota.
-    fn victim_index(&self, model: Option<&str>) -> Option<usize> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| model.is_none_or(|m| j.request.model == m))
-            .min_by(|(_, a), (_, b)| victim_order(a, b))
-            .map(|(i, _)| i)
-    }
-}
-
 /// How a submission entered (or failed to enter) the queue.
 pub(crate) enum Admission {
     /// The job is queued; a worker will pick it up in scheduling order.
     Enqueued,
-    /// The job is queued and the returned victim job was shed to make room
-    /// ([`AdmissionPolicy::ShedOldest`]); the caller resolves the victim.
-    /// Boxed: a `Job` carries a full request, and the shed path is the
-    /// rare one — keeping the other variants a pointer wide keeps every
-    /// admission return cheap.
-    Shed(Box<Job>),
-    /// The queue (or the job's model quota) was full and
-    /// [`AdmissionPolicy::Reject`] refused the job (dropped here; the
-    /// submitter still holds the reply receiver).
+    /// The queue was full and [`AdmissionPolicy::Reject`] refused the job
+    /// (dropped here; the submitter still holds the reply receiver).
     Rejected,
     /// The queue is closed (engine shutting down); the job was dropped.
     Closed,
@@ -164,20 +117,14 @@ pub(crate) struct JobQueue {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    /// Per-model cap on waiting jobs; `None` disables quotas.
-    quota: Option<usize>,
 }
 
 impl JobQueue {
     /// An open queue admitting at most `capacity` *waiting* jobs (jobs a
     /// worker has already dequeued don't count against it), dequeued in
-    /// [`dequeue_order`], with at most `quota` of them per model when set.
-    pub(crate) fn new(capacity: usize, quota: Option<usize>) -> Self {
+    /// [`dequeue_order`].
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a zero-capacity queue could admit nothing");
-        assert!(
-            quota.is_none_or(|q| q > 0),
-            "a zero quota could admit nothing for any model"
-        );
         Self {
             state: Mutex::new(QueueState {
                 jobs: Vec::new(),
@@ -187,7 +134,6 @@ impl JobQueue {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
-            quota,
         }
     }
 
@@ -206,8 +152,7 @@ impl JobQueue {
     }
 
     /// Admit `job` under `policy`. Only [`AdmissionPolicy::Block`] can
-    /// block, and only while the queue is open and either full or at the
-    /// job's model quota.
+    /// block, and only while the queue is open and full.
     pub(crate) fn push(&self, job: Job, policy: AdmissionPolicy) -> Admission {
         let mut state = self.lock();
         loop {
@@ -215,13 +160,7 @@ impl JobQueue {
                 drop(job);
                 return Admission::Closed;
             }
-            // The per-model quota binds first: a model at its quota is
-            // "full" for this job even when the queue has room, so one hot
-            // model's burst cannot occupy every slot.
-            let over_quota = self
-                .quota
-                .is_some_and(|q| state.model_depth(&job.request.model) >= q);
-            if !over_quota && state.jobs.len() < self.capacity {
+            if state.jobs.len() < self.capacity {
                 self.enqueue_locked(&mut state, job);
                 return Admission::Enqueued;
             }
@@ -232,21 +171,6 @@ impl JobQueue {
                 AdmissionPolicy::Reject => {
                     drop(job);
                     return Admission::Rejected;
-                }
-                AdmissionPolicy::ShedOldest => {
-                    // Victim scope is the saturated dimension: the same
-                    // model's jobs when its quota binds (evicting another
-                    // model would not make this one admissible), the whole
-                    // queue otherwise.
-                    let scope = over_quota.then_some(job.request.model.as_str());
-                    let idx = state
-                        .victim_index(scope)
-                        .expect("a saturated dimension holds at least one job");
-                    let victim = state.jobs.remove(idx);
-                    self.enqueue_locked(&mut state, job);
-                    // Occupancy is unchanged (one out, one in): no
-                    // not_full wakeup.
-                    return Admission::Shed(Box::new(victim));
                 }
             }
         }
@@ -265,11 +189,6 @@ impl JobQueue {
                 .map(|(i, _)| i);
             if let Some(idx) = next {
                 let job = state.jobs.remove(idx);
-                // notify_all, not notify_one: with per-model quotas "room"
-                // is model-dependent, and the one blocked submitter a
-                // notify_one happens to wake may still be over its quota
-                // and sleep again while a different model's submitter
-                // could have proceeded.
                 self.not_full.notify_all();
                 return Some(job);
             }
@@ -334,7 +253,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_capacity() {
-        let q = JobQueue::new(2, None);
+        let q = JobQueue::new(2);
         let (a, _ra) = job(0);
         let (b, _rb) = job(1);
         assert!(matches!(
@@ -351,21 +270,14 @@ mod tests {
             q.push(c, AdmissionPolicy::Reject),
             Admission::Rejected
         ));
-        // No deadlines, one class: the shed victim degrades to the oldest
-        // queued job (user 0) and the new job is admitted.
-        let (c, _rc) = job(2);
-        let Admission::Shed(victim) = q.push(c, AdmissionPolicy::ShedOldest) else {
-            panic!("full queue must shed");
-        };
-        assert_eq!(victim.request.user, 0);
+        assert_eq!(q.pop().unwrap().request.user, 0);
         assert_eq!(q.pop().unwrap().request.user, 1);
-        assert_eq!(q.pop().unwrap().request.user, 2);
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn qos_pop_is_strict_priority_then_edf_then_fifo() {
-        let q = JobQueue::new(8, None);
+        let q = JobQueue::new(8);
         let far = Instant::now() + Duration::from_secs(3600);
         let near = Instant::now() + Duration::from_secs(60);
         // Arrival order deliberately scrambled against service order.
@@ -391,112 +303,9 @@ mod tests {
         assert_eq!(order, vec![3, 2, 4, 1, 0]);
     }
 
-    /// Regression test for the doc'd ShedOldest contract: the victim is
-    /// the job most past caring — deadline gone or nearest — not simply
-    /// the FIFO front.
-    #[test]
-    fn shed_victim_is_nearest_deadline_not_fifo_front() {
-        let q = JobQueue::new(3, None);
-        let now = Instant::now();
-        // Oldest job has the *farthest* deadline; the middle one is
-        // already expired.
-        let (a, _ra) =
-            job_with(RecommendRequest::new("m", 0, 1).deadline_at(now + Duration::from_secs(3600)));
-        let (b, _rb) =
-            job_with(RecommendRequest::new("m", 1, 1).deadline_at(now - Duration::from_secs(1)));
-        let (c, _rc) =
-            job_with(RecommendRequest::new("m", 2, 1).deadline_at(now + Duration::from_secs(60)));
-        for j in [a, b, c] {
-            assert!(matches!(
-                q.push(j, AdmissionPolicy::Block),
-                Admission::Enqueued
-            ));
-        }
-        let (d, _rd) = job_with(RecommendRequest::new("m", 3, 1));
-        let Admission::Shed(victim) = q.push(d, AdmissionPolicy::ShedOldest) else {
-            panic!("full queue must shed");
-        };
-        assert_eq!(
-            victim.request.user, 1,
-            "the expired job pays, not the front"
-        );
-        // Next victim: nearest live deadline; deadline-free jobs only last.
-        let (e, _re) = job_with(RecommendRequest::new("m", 4, 1));
-        let Admission::Shed(victim) = q.push(e, AdmissionPolicy::ShedOldest) else {
-            panic!("full queue must shed");
-        };
-        assert_eq!(victim.request.user, 2, "nearest deadline next");
-    }
-
-    #[test]
-    fn shed_victim_prefers_lower_class_on_deadline_ties() {
-        let q = JobQueue::new(2, None);
-        let (a, _ra) = job_with(RecommendRequest::new("m", 0, 1)); // Interactive, older
-        let (b, _rb) =
-            job_with(RecommendRequest::new("m", 1, 1).with_priority(Priority::Background));
-        q.push(a, AdmissionPolicy::Block);
-        q.push(b, AdmissionPolicy::Block);
-        let (c, _rc) = job_with(RecommendRequest::new("m", 2, 1));
-        let Admission::Shed(victim) = q.push(c, AdmissionPolicy::ShedOldest) else {
-            panic!("full queue must shed");
-        };
-        assert_eq!(victim.request.user, 1, "Background pays before Interactive");
-    }
-
-    #[test]
-    fn model_quota_caps_one_model_without_filling_the_queue() {
-        let q = JobQueue::new(8, Some(2));
-        let (a, _ra) = job_with(RecommendRequest::new("hot", 0, 1));
-        let (b, _rb) = job_with(RecommendRequest::new("hot", 1, 1));
-        q.push(a, AdmissionPolicy::Reject);
-        q.push(b, AdmissionPolicy::Reject);
-        // The hot model is at quota: Reject refuses its next job even
-        // though the queue has room…
-        let (c, _rc) = job_with(RecommendRequest::new("hot", 2, 1));
-        assert!(matches!(
-            q.push(c, AdmissionPolicy::Reject),
-            Admission::Rejected
-        ));
-        // …while another model still enters freely.
-        let (d, _rd) = job_with(RecommendRequest::new("cold", 3, 1));
-        assert!(matches!(
-            q.push(d, AdmissionPolicy::Reject),
-            Admission::Enqueued
-        ));
-        assert_eq!(q.depth(), 3);
-        // ShedOldest under a binding quota evicts within the same model:
-        // the cold model's job survives.
-        let (e, _re) = job_with(RecommendRequest::new("hot", 4, 1));
-        let Admission::Shed(victim) = q.push(e, AdmissionPolicy::ShedOldest) else {
-            panic!("quota-full model must shed its own job");
-        };
-        assert_eq!(victim.request.model, "hot");
-        assert_eq!(victim.request.user, 0, "oldest hot job pays");
-        assert_eq!(q.depth(), 3);
-    }
-
-    #[test]
-    fn quota_blocked_submitter_wakes_when_its_model_drains() {
-        let q = std::sync::Arc::new(JobQueue::new(8, Some(1)));
-        let (a, _ra) = job_with(RecommendRequest::new("hot", 0, 1));
-        assert!(matches!(
-            q.push(a, AdmissionPolicy::Block),
-            Admission::Enqueued
-        ));
-        let q2 = std::sync::Arc::clone(&q);
-        let submitter = std::thread::spawn(move || {
-            let (b, _rb) = job_with(RecommendRequest::new("hot", 1, 1));
-            matches!(q2.push(b, AdmissionPolicy::Block), Admission::Enqueued)
-        });
-        // Popping the hot job frees the quota; the submitter must wake.
-        assert_eq!(q.pop().unwrap().request.user, 0);
-        assert!(submitter.join().unwrap());
-        assert_eq!(q.pop().unwrap().request.user, 1);
-    }
-
     #[test]
     fn depth_by_class_counts_waiting_jobs() {
-        let q = JobQueue::new(8, None);
+        let q = JobQueue::new(8);
         let (a, _ra) = job_with(RecommendRequest::new("m", 0, 1));
         let (b, _rb) = job_with(RecommendRequest::new("m", 1, 1).with_priority(Priority::Batch));
         let (c, _rc) = job_with(RecommendRequest::new("m", 2, 1).with_priority(Priority::Batch));
@@ -508,7 +317,7 @@ mod tests {
 
     #[test]
     fn close_drains_and_unblocks() {
-        let q = JobQueue::new(1, None);
+        let q = JobQueue::new(1);
         let (a, ra) = job(7);
         assert!(matches!(
             q.push(a, AdmissionPolicy::Block),
@@ -531,7 +340,7 @@ mod tests {
 
     #[test]
     fn blocked_submitter_wakes_when_a_worker_drains() {
-        let q = std::sync::Arc::new(JobQueue::new(1, None));
+        let q = std::sync::Arc::new(JobQueue::new(1));
         let (a, _ra) = job(0);
         assert!(matches!(
             q.push(a, AdmissionPolicy::Block),

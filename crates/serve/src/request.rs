@@ -114,8 +114,7 @@ pub struct RecommendRequest {
     /// QoS class of this request (default [`Priority::Interactive`]). The
     /// engine dequeues strictly by class — every queued `Interactive`
     /// request before any `Batch`, every `Batch` before any `Background` —
-    /// with earliest-deadline-first ordering inside a class; lower classes
-    /// are also preferred as shed victims.
+    /// with earliest-deadline-first ordering inside a class.
     pub priority: Priority,
 }
 
@@ -248,11 +247,9 @@ pub enum ServeError {
     /// keep running and later requests are unaffected — and the panic
     /// message is preserved here; the panic hook still logs to stderr.
     RequestPanicked(String),
-    /// The admission queue was full and the backpressure policy refused the
-    /// request: [`crate::AdmissionPolicy::Reject`] returns this from
-    /// [`crate::Engine::submit`] itself, and
-    /// [`crate::AdmissionPolicy::ShedOldest`] resolves the *oldest queued*
-    /// request's [`crate::PendingResponse`] with it.
+    /// The admission queue was full and [`crate::AdmissionPolicy::Reject`]
+    /// refused the request: [`crate::Engine::submit`] returns this itself,
+    /// without queueing it.
     Overloaded,
     /// The request's deadline expired before a response was produced —
     /// either already at dequeue (shed without running any scoring) or

@@ -31,44 +31,6 @@ impl ShardRouter for ModuloRouter {
     }
 }
 
-/// Contiguous-range routing: shard `i` owns users in
-/// `[boundaries[i-1], boundaries[i])`, with the last shard open-ended.
-///
-/// The fit for region- or tenant-partitioned user id spaces, where each
-/// shard's model was trained on its own range of the user base.
-#[derive(Debug, Clone)]
-pub struct RangeRouter {
-    /// Ascending exclusive upper bounds of every shard but the last; users
-    /// at or above the final boundary route to the last shard.
-    boundaries: Vec<u32>,
-}
-
-impl RangeRouter {
-    /// Router with the given ascending exclusive upper bounds; for
-    /// `n_shards` shards pass `n_shards - 1` boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the boundaries are not strictly ascending.
-    pub fn new(boundaries: Vec<u32>) -> Self {
-        assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
-            "RangeRouter boundaries must be strictly ascending"
-        );
-        Self { boundaries }
-    }
-}
-
-impl ShardRouter for RangeRouter {
-    fn route(&self, user: u32, n_shards: usize) -> usize {
-        let shard = self.boundaries.partition_point(|&b| b <= user);
-        // More boundaries than shards cannot produce a valid index past the
-        // end; clamp so a misconfigured router degrades to the last shard
-        // instead of an out-of-bounds panic deep in the engine.
-        shard.min(n_shards.saturating_sub(1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,29 +44,5 @@ mod tests {
             assert!(shard < 3);
         }
         assert_eq!(r.route(7, 1), 0);
-    }
-
-    #[test]
-    fn range_routes_by_boundary() {
-        let r = RangeRouter::new(vec![10, 20]);
-        assert_eq!(r.route(0, 3), 0);
-        assert_eq!(r.route(9, 3), 0);
-        assert_eq!(r.route(10, 3), 1);
-        assert_eq!(r.route(19, 3), 1);
-        assert_eq!(r.route(20, 3), 2);
-        assert_eq!(r.route(u32::MAX, 3), 2);
-    }
-
-    #[test]
-    fn range_clamps_to_last_shard() {
-        // Misconfigured (3 boundaries for 2 shards): clamp, don't panic.
-        let r = RangeRouter::new(vec![5, 10, 15]);
-        assert_eq!(r.route(100, 2), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn range_rejects_unsorted_boundaries() {
-        let _ = RangeRouter::new(vec![10, 10]);
     }
 }

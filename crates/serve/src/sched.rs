@@ -32,7 +32,7 @@ pub enum Priority {
     /// interactive request is waiting.
     Batch,
     /// Best-effort work (cache warming, analytics): served only from an
-    /// otherwise-idle queue, first to be shed as a victim.
+    /// otherwise-idle queue.
     Background,
 }
 

@@ -35,14 +35,6 @@ impl PendingResponse {
         Self { rx, taken: false }
     }
 
-    /// A handle that is already resolved (the zero-worker engine serves
-    /// submissions synchronously).
-    pub(crate) fn ready(result: Result<RecommendResponse, ServeError>) -> Self {
-        let (tx, rx) = mpsc::channel();
-        let _ = tx.send(result);
-        Self::new(rx)
-    }
-
     /// Non-blocking poll: the result if it is ready (or was abandoned —
     /// see below), `None` while the request is still queued or running.
     ///
@@ -109,20 +101,19 @@ impl PendingResponse {
 /// Only *admitted* requests are counted (submit-time refusals — `Reject`
 /// on a full queue, open breakers — never enter a class ledger), and the
 /// ledger balances per class:
-/// `submitted = served + shed + expired + failed`, where `shed` covers
-/// both admission victims and slack-shed unmeetable deadlines, `expired`
-/// covers dequeue-time and in-DP deadline expiries, and `failed` absorbs
-/// every other terminal error (panics, unknown models, worker-side breaker
-/// refusals) plus shutdown cancellation.
+/// `submitted = served + shed + expired + failed`, where `shed` counts
+/// slack-shed unmeetable deadlines, `expired` covers dequeue-time and in-DP
+/// deadline expiries, and `failed` absorbs every other terminal error
+/// (panics, unknown models, worker-side breaker refusals) plus shutdown
+/// cancellation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassStats {
     /// Requests of this class admitted (enqueued or started inline).
     pub submitted: u64,
     /// Requests of this class answered with a response (degraded or not).
     pub served: u64,
-    /// Requests of this class shed without serving: admission victims
-    /// ([`crate::AdmissionPolicy::ShedOldest`]) and slack-shed requests
-    /// whose deadline was provably unmeetable.
+    /// Requests of this class slack-shed at dequeue because their deadline
+    /// was provably unmeetable.
     pub shed: u64,
     /// Requests of this class whose deadline expired — at dequeue or
     /// cooperatively inside the walk DP.
@@ -199,11 +190,9 @@ pub struct EngineStats {
     /// Submissions refused outright by [`crate::AdmissionPolicy::Reject`]
     /// on a full queue ([`ServeError::Overloaded`] from `submit` itself).
     pub rejected: u64,
-    /// Queued requests shed without serving: admission victims evicted by
-    /// [`crate::AdmissionPolicy::ShedOldest`] to admit newer traffic
-    /// (their handles resolve [`ServeError::Overloaded`]) plus requests
-    /// slack-shed at dequeue because their deadline was provably
-    /// unmeetable (the `shed_unmeetable` subset, resolving
+    /// Admitted requests dropped at dequeue by **slack-based shedding**:
+    /// the EWMA of the routed model's service time said the deadline
+    /// provably could not be met, so no scoring ran (their handles resolve
     /// [`ServeError::DeadlineExceeded`]).
     pub shed: u64,
     /// Requests whose deadline had already expired when a worker (or the
@@ -233,12 +222,6 @@ pub struct EngineStats {
     /// Dead pool workers detected and respawned by supervision, keeping
     /// the worker count at its configured size.
     pub workers_restarted: u64,
-    /// Admitted requests dropped at dequeue by **slack-based shedding**:
-    /// the EWMA of the routed model's service time said the deadline
-    /// provably could not be met, so no scoring ran (their handles resolve
-    /// [`ServeError::DeadlineExceeded`]). A subset of `shed` — attribution,
-    /// not a ledger slot of its own.
-    pub shed_unmeetable: u64,
     /// The same ledger, sliced by [`Priority`] class (indexed by
     /// [`Priority::index`]), each slice carrying its own served-latency
     /// histogram for [`ClassStats::latency_p50`]/[`ClassStats::latency_p99`].
@@ -277,7 +260,6 @@ impl EngineStats {
             workers_restarted: self
                 .workers_restarted
                 .saturating_sub(earlier.workers_restarted),
-            shed_unmeetable: self.shed_unmeetable.saturating_sub(earlier.shed_unmeetable),
             per_class: std::array::from_fn(|i| self.per_class[i].since(&earlier.per_class[i])),
             ingest: self.ingest.since(&earlier.ingest),
         }
@@ -338,7 +320,6 @@ pub(crate) struct EngineCounters {
     pub(crate) contexts_discarded: AtomicU64,
     pub(crate) circuit_open: AtomicU64,
     pub(crate) workers_restarted: AtomicU64,
-    pub(crate) shed_unmeetable: AtomicU64,
     pub(crate) per_class: [ClassCounters; Priority::COUNT],
 }
 
@@ -369,7 +350,6 @@ impl EngineCounters {
             contexts_discarded: self.contexts_discarded.load(Ordering::Relaxed),
             circuit_open: self.circuit_open.load(Ordering::Relaxed),
             workers_restarted: self.workers_restarted.load(Ordering::Relaxed),
-            shed_unmeetable: self.shed_unmeetable.load(Ordering::Relaxed),
             per_class: std::array::from_fn(|i| self.per_class[i].snapshot()),
             // The stores own their counters; [`crate::Engine::stats`] sums
             // them in over this zero slot.
@@ -384,7 +364,9 @@ mod tests {
 
     #[test]
     fn pending_yields_exactly_once() {
-        let mut p = PendingResponse::ready(Err(ServeError::Overloaded));
+        let (tx, rx) = mpsc::channel();
+        tx.send(Err(ServeError::Overloaded)).unwrap();
+        let mut p = PendingResponse::new(rx);
         assert_eq!(p.try_recv(), Some(Err(ServeError::Overloaded)));
         assert_eq!(p.try_recv(), None);
         assert_eq!(p.wait_timeout(Duration::from_millis(1)), None);
@@ -502,10 +484,10 @@ mod tests {
         earlier.per_class[Priority::Batch.index()].submitted = 3;
         let mut later = earlier;
         later.per_class[Priority::Batch.index()].submitted = 7;
-        later.shed_unmeetable = 2;
+        later.shed = 2;
         let diff = later.since(&earlier);
         assert_eq!(diff.per_class[Priority::Batch.index()].submitted, 4);
         assert_eq!(diff.per_class[Priority::Interactive.index()].submitted, 0);
-        assert_eq!(diff.shed_unmeetable, 2);
+        assert_eq!(diff.shed, 2);
     }
 }

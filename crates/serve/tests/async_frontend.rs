@@ -5,9 +5,8 @@
 //!   batch API and to direct `recommend_into`, across every recommender
 //!   family (proptested; `PROPTEST_CASES` honoured).
 //! * **Backpressure** — under a deterministically full queue,
-//!   `AdmissionPolicy::Reject` refuses the *new* request and
-//!   `AdmissionPolicy::ShedOldest` sheds the *oldest queued* one, both
-//!   without blocking the submitter.
+//!   `AdmissionPolicy::Reject` refuses the *new* request without blocking
+//!   the submitter, and the refusal never enters a class ledger.
 //! * **Deadlines** — an already-expired deadline is shed at dequeue
 //!   without touching the DP; a deadline that expires mid-queue-wait
 //!   cancels the walk cooperatively (`expired_in_dp`).
@@ -15,6 +14,8 @@
 //!   not-yet-started requests instead of serving the backlog.
 //! * **Burst accounting** — `EngineStats::since` and
 //!   `DpTelemetry::since` scope the engine's ledgers to one burst.
+//! * **One pool shape** — every engine has at least one worker: `workers(0)`
+//!   builds the same one-worker pool as `workers(1)`.
 //!
 //! The deterministic full-queue/shutdown tests drive the shared
 //! `common::GatedRecommender`: a wrapper that parks inside
@@ -141,29 +142,8 @@ fn reject_policy_refuses_without_blocking_when_full() {
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.shed, 0);
     assert_ledgers_balance(&stats);
-}
-
-#[test]
-fn shed_oldest_policy_sheds_the_oldest_queued_request() {
-    let (engine, gate, in_flight) = gated_engine(2, AdmissionPolicy::ShedOldest);
-    let oldest = engine.submit(RecommendRequest::new("gated", 1, 1)).unwrap();
-    let middle = engine.submit(RecommendRequest::new("gated", 0, 1)).unwrap();
-    // Queue full: the new submission is admitted at the oldest's expense,
-    // without blocking (and without touching the in-flight request).
-    let newest = engine.submit(RecommendRequest::new("gated", 1, 1)).unwrap();
-    assert_eq!(engine.queue_depth(), 2);
-    assert_eq!(oldest.wait(), Err(ServeError::Overloaded));
-    let stats = engine.stats();
-    assert_eq!(stats.shed, 1);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.submitted, 4);
-
-    gate.open();
-    for p in [in_flight, middle, newest] {
-        assert!(p.wait().is_ok(), "surviving requests all complete");
-    }
-    assert_eq!(engine.stats().completed, 3);
-    assert_ledgers_balance(&engine.stats());
+    // Rejections never enter the class ledger: only admitted work does.
+    assert_eq!(stats.per_class[Priority::Interactive.index()].submitted, 3);
 }
 
 #[test]
@@ -258,8 +238,10 @@ fn engine_drop_cancels_queued_requests_in_bounded_time() {
     // stats, with it before the last handle resolves.
 }
 
+/// There is no inline submission mode: `workers(0)` is raised to one
+/// worker, and a submission is served by that pool worker.
 #[test]
-fn zero_worker_engine_resolves_submissions_synchronously() {
+fn zero_workers_build_a_one_worker_pool() {
     let d = tiny_dataset();
     let engine = Engine::builder()
         .model(
@@ -268,11 +250,12 @@ fn zero_worker_engine_resolves_submissions_synchronously() {
         )
         .workers(0)
         .build();
-    assert_eq!(engine.queue_depth(), 0);
-    let mut pending = engine.submit(RecommendRequest::new("HT", 0, 1)).unwrap();
-    // Already resolved: the poll succeeds without any worker existing.
-    let response = pending.try_recv().expect("inline submission is ready");
-    assert!(response.is_ok());
+    assert_eq!(engine.n_workers(), 1);
+    let health = engine.health();
+    assert_eq!(health.workers_configured, 1);
+    assert!(health.all_healthy());
+    let pending = engine.submit(RecommendRequest::new("HT", 0, 1)).unwrap();
+    assert!(pending.wait().is_ok());
     assert_eq!(engine.stats().completed, 1);
     assert_ledgers_balance(&engine.stats());
 }

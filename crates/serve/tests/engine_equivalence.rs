@@ -200,14 +200,14 @@ fn engine_rerank_threads_policy_and_provenance_end_to_end() {
     // Engine A: no rerank configured — the raw fused baseline.
     let raw = Engine::builder()
         .model("HT", Arc::clone(&rec))
-        .workers(0)
+        .workers(1)
         .build();
     // Engine B: index attached, policy set as the Batch-class default.
     let engine = Engine::builder()
         .model("HT", Arc::clone(&rec))
         .rerank_index("HT", Arc::clone(&index))
         .class_rerank(Priority::Batch, policy)
-        .workers(0)
+        .workers(1)
         .build();
 
     let mut served = 0usize;
@@ -371,41 +371,6 @@ fn panicking_request_fails_alone_without_killing_the_engine() {
         engine.recommend(&RecommendRequest::new("HT", 99, 2)),
         Err(ServeError::RequestPanicked(_))
     ));
-    assert_ledgers_balance(&engine.stats());
-}
-
-#[test]
-fn zero_worker_engine_serves_batches_inline() {
-    let d = Dataset::from_ratings(
-        2,
-        2,
-        &[
-            Rating {
-                user: 0,
-                item: 0,
-                value: 5.0,
-            },
-            Rating {
-                user: 1,
-                item: 1,
-                value: 4.0,
-            },
-        ],
-    );
-    let engine = Engine::builder()
-        .model(
-            "HT",
-            Arc::new(HittingTimeRecommender::new(&d, GraphRecConfig::default())),
-        )
-        .workers(0)
-        .build();
-    assert_eq!(engine.n_workers(), 0);
-    let results = engine.recommend_batch(vec![
-        RecommendRequest::new("HT", 0, 2),
-        RecommendRequest::new("HT", 1, 2),
-    ]);
-    assert_eq!(results.len(), 2);
-    assert!(results.iter().all(|r| r.is_ok()));
     assert_ledgers_balance(&engine.stats());
 }
 

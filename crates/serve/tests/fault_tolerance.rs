@@ -98,7 +98,7 @@ proptest! {
             .seeded(poison_seed, 0.3, FaultKind::NanScores);
 
         let mut chaotic = Engine::builder()
-            .workers(0)
+            .workers(1)
             .breakers(BreakerConfig {
                 window: 4,
                 failure_threshold: 2,
@@ -106,7 +106,7 @@ proptest! {
             })
             .default_retry(RetryPolicy::attempts(2))
             .fallback("HT", "POP");
-        let mut clean = Engine::builder().workers(0);
+        let mut clean = Engine::builder().workers(1);
         for (name, rec) in &models {
             clean = clean.model(*name, Arc::clone(rec));
             chaotic = chaotic.model(*name, Arc::clone(rec));
@@ -161,7 +161,7 @@ fn retry_recovers_from_transient_panic() {
     let plan = FaultPlan::new().fault_on_call(0, FaultKind::Panic);
     let pop = Arc::new(PopularityRecommender::train(&d));
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model(
             "POP",
             Arc::new(FaultyRecommender::new(pop.clone(), plan)) as SharedRecommender,
@@ -191,7 +191,7 @@ fn retry_runs_while_the_deadline_has_not_passed() {
     let plan = FaultPlan::new().fault_on_call(0, FaultKind::Panic);
     let pop = Arc::new(PopularityRecommender::train(&d));
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model(
             "POP",
             Arc::new(FaultyRecommender::new(pop.clone(), plan)) as SharedRecommender,
@@ -231,7 +231,7 @@ fn retry_is_abandoned_once_the_deadline_has_passed() {
         FaultPlan::new().fault_on_call(0, FaultKind::Latency(Duration::from_secs(1))),
     );
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model("POP", Arc::new(outer) as SharedRecommender)
         .build();
 
@@ -261,7 +261,7 @@ fn deadline_free_requests_retry_exactly_max_attempts_times() {
         FaultPlan::new().fault_every(1, 0, FaultKind::Panic),
     ));
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model("POP", faulty.clone() as SharedRecommender)
         .build();
 
@@ -294,7 +294,7 @@ fn check_fallback_serves_degraded(fault: FaultKind) {
     ));
     let pop = Arc::new(PopularityRecommender::train(&d));
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model("primary", faulty.clone() as SharedRecommender)
         .model("POP", pop.clone() as SharedRecommender)
         .fallback("primary", "POP")
@@ -344,7 +344,7 @@ fn open_breaker_without_fallback_fails_fast_at_submit() {
         FaultPlan::new().fault_every(1, 0, FaultKind::Panic),
     ));
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model("primary", faulty as SharedRecommender)
         .breakers(tight_breakers())
         .build();
@@ -439,7 +439,7 @@ fn successful_probe_fully_closes_breaker() {
         .fault_on_call(1, FaultKind::Panic);
     let pop = Arc::new(PopularityRecommender::train(&d));
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model(
             "POP",
             Arc::new(FaultyRecommender::new(pop.clone(), plan)) as SharedRecommender,
@@ -479,7 +479,7 @@ fn poisoned_scores_are_refused_and_feed_the_breaker() {
         .fault_on_call(0, FaultKind::NanScores)
         .fault_on_call(1, FaultKind::NegInfScores);
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model(
             "POP",
             Arc::new(FaultyRecommender::new(
@@ -635,7 +635,7 @@ fn latency_fault_blows_the_deadline_typed() {
     let d = corpus();
     let plan = FaultPlan::new().fault_on_call(0, FaultKind::Latency(Duration::from_millis(50)));
     let engine = Engine::builder()
-        .workers(0)
+        .workers(1)
         .model(
             "POP",
             Arc::new(FaultyRecommender::new(
@@ -665,7 +665,7 @@ fn builder_rejects_bad_fallback_wiring() {
     let build = |fallback: &'static str| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Engine::builder()
-                .workers(0)
+                .workers(1)
                 .model(
                     "POP",
                     Arc::new(PopularityRecommender::train(&d)) as SharedRecommender,

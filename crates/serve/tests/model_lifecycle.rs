@@ -220,7 +220,7 @@ fn deploy_resets_the_breaker_and_carries_ledgers() {
             cooldown: std::time::Duration::from_secs(3600),
         })
         .default_retry(RetryPolicy::attempts(1))
-        .workers(0)
+        .workers(1)
         .build();
     for user in 0..2 {
         let err = engine.recommend(&RecommendRequest::new("POP", user, 3));
@@ -257,7 +257,7 @@ fn sharded_groups_deploy_per_shard_independently() {
         .collect();
     let engine = Engine::builder()
         .sharded_model("POP", Arc::new(ModuloRouter), shards)
-        .workers(0)
+        .workers(1)
         .build();
     // Users 1, 3 route to shard 1; users 0, 2, 4 to shard 0.
     assert_eq!(
@@ -286,7 +286,7 @@ fn deploy_reports_provenance_in_health() {
     let d = corpus();
     let engine = Engine::builder()
         .model("POP", Arc::new(PopularityRecommender::train(&d)))
-        .workers(0)
+        .workers(1)
         .build();
     let path = std::path::PathBuf::from("/models/pop_v2.snap");
     engine
@@ -318,7 +318,7 @@ fn deploy_reports_provenance_in_health() {
 fn deploying_an_unknown_model_fails_typed() {
     let engine = Engine::builder()
         .model("POP", Arc::new(PopularityRecommender::train(&corpus())))
-        .workers(0)
+        .workers(1)
         .build();
     let err = engine.deploy("nope", Arc::new(PopularityRecommender::train(&corpus())));
     assert_eq!(err.unwrap_err(), ServeError::UnknownModel("nope".into()));
@@ -336,7 +336,7 @@ fn deploying_a_sharded_group_without_a_shard_panics() {
         .collect();
     let engine = Engine::builder()
         .sharded_model("POP", Arc::new(ModuloRouter), shards)
-        .workers(0)
+        .workers(1)
         .build();
     let _ = engine.deploy("POP", Arc::new(PopularityRecommender::train(&d)));
 }
@@ -347,7 +347,7 @@ fn shard_deploying_an_unsharded_model_panics() {
     let d = corpus();
     let engine = Engine::builder()
         .model("POP", Arc::new(PopularityRecommender::train(&d)))
-        .workers(0)
+        .workers(1)
         .build();
     let _ = engine.deploy_shard("POP", 0, Arc::new(PopularityRecommender::train(&d)));
 }
@@ -361,7 +361,7 @@ fn deploying_an_out_of_range_shard_panics() {
         .collect();
     let engine = Engine::builder()
         .sharded_model("POP", Arc::new(ModuloRouter), shards)
-        .workers(0)
+        .workers(1)
         .build();
     let _ = engine.deploy_shard("POP", 2, Arc::new(PopularityRecommender::train(&d)));
 }

@@ -1,19 +1,17 @@
 //! The QoS scheduler's contracts.
 //!
-//! * **Order, not contents** — the scheduler may reorder and shed, but a
+//! * **Order, not contents** — the scheduler may reorder and refuse, but a
 //!   request it serves returns a ranking identical to calling the routed
 //!   recommender directly: proptested across every family with the single
 //!   worker parked so the whole mixed-priority batch is reordered in the
-//!   queue, under a binding per-model quota (`ShedOldest`).
+//!   queue, and a full queue refusing the overflow (`Reject`).
 //! * **Strict priority + EDF** — with the worker parked and a scrambled
 //!   submission order, the served order is class-ascending, then earliest
 //!   deadline, then arrival (deadline-free requests after deadlined ones,
 //!   and unannotated requests in arrival order among themselves).
-//! * **Quotas** — one model's burst is refused at its quota while the
-//!   queue still has room for other models.
 //! * **Slack shedding** — once the EWMA of a model's service time proves
 //!   a deadline unmeetable, the request is dropped at dequeue without the
-//!   model ever running (`shed_unmeetable`); a meetable deadline on the
+//!   model ever running (counted in `shed`); a meetable deadline on the
 //!   same engine still serves.
 //! * **Ledgers** — every test ends with `common::assert_ledgers_balance`:
 //!   each admitted request has exactly one outcome, globally and per class
@@ -39,14 +37,15 @@ use common::{
 };
 
 proptest! {
-    /// EDF ordering and per-model quotas never change the *contents* of a
-    /// served ranking. The single worker is parked on a gated request, so
+    /// EDF ordering and admission refusals never change the *contents* of
+    /// a served ranking. The single worker is parked on a gated request, so
     /// every submission below is reordered in the queue by the scheduler
-    /// before service; the quota of 3 (against 4 requests per model)
-    /// forces the shed path too. Every request that comes back `Ok` must
-    /// match direct `recommend_into` item-for-item, score-for-score.
+    /// before service; the queue holds three requests per model against
+    /// four submitted, so the `Reject` path fires too. Every request that
+    /// comes back `Ok` must match direct `recommend_into` item-for-item,
+    /// score-for-score.
     #[test]
-    fn qos_reorders_and_sheds_but_never_perturbs_served_rankings(rs in ratings()) {
+    fn qos_reorders_and_refuses_but_never_perturbs_served_rankings(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
         let models = roster(&d);
         let gate = Gate::closed();
@@ -56,9 +55,8 @@ proptest! {
         );
         let mut builder = Engine::builder()
             .workers(1)
-            .queue_capacity(256)
-            .admission(AdmissionPolicy::ShedOldest)
-            .model_quota(3)
+            .queue_capacity(3 * models.len())
+            .admission(AdmissionPolicy::Reject)
             .model("gated", Arc::new(gated) as SharedRecommender);
         for (name, rec) in &models {
             builder = builder.model(*name, Arc::clone(rec));
@@ -68,10 +66,11 @@ proptest! {
         gate.await_arrivals(1); // worker held mid-request, queue empty
 
         // Mixed classes, mixed deadlines (all generous: nothing expires),
-        // four requests per model against a quota of three.
+        // four requests per model against three queue slots per model.
         let far = Instant::now() + Duration::from_secs(3600);
         let classes = [Priority::Interactive, Priority::Batch, Priority::Background];
         let mut submitted = Vec::new();
+        let mut refused = 0u64;
         for (mi, (name, _)) in models.iter().enumerate() {
             for u in 0..4u32 {
                 let i = mi * 4 + u as usize;
@@ -80,17 +79,24 @@ proptest! {
                 if i.is_multiple_of(2) {
                     req = req.deadline_at(far);
                 }
-                let pending = engine.submit(req.clone()).expect("quota sheds, never refuses");
-                submitted.push((pending, req));
+                match engine.submit(req.clone()) {
+                    Ok(pending) => submitted.push((pending, req)),
+                    Err(ServeError::Overloaded) => refused += 1,
+                    Err(e) => prop_assert!(false, "unexpected refusal: {e}"),
+                }
             }
         }
+        // The queue fills with the first 3 × models submissions; every
+        // later one is refused at submit.
+        prop_assert_eq!(refused, models.len() as u64);
+        prop_assert_eq!(engine.queue_depth(), 3 * models.len());
         gate.open();
         prop_assert!(parked.wait().is_ok());
 
         let mut ctx = ScoringContext::new();
         let mut direct: Vec<ScoredItem> = Vec::new();
         let opts = RecommendOptions::default();
-        let (mut served, mut shed) = (0u64, 0u64);
+        let mut served = 0u64;
         for (pending, req) in submitted {
             match pending.wait() {
                 Ok(resp) => {
@@ -106,16 +112,13 @@ proptest! {
                     );
                     served += 1;
                 }
-                Err(ServeError::Overloaded) => shed += 1,
                 Err(e) => prop_assert!(false, "unexpected failure: {e}"),
             }
         }
-        // Exactly one shed per model (the fourth submission evicts within
-        // its own model), everything else served.
-        prop_assert_eq!(shed, models.len() as u64);
         prop_assert_eq!(served, 3 * models.len() as u64);
         let stats = engine.stats();
-        prop_assert_eq!(stats.shed, shed);
+        prop_assert_eq!(stats.rejected, refused);
+        prop_assert_eq!(stats.shed, 0);
         prop_assert_eq!(stats.completed, served + 1); // + the parked request
         assert_ledgers_balance(&stats);
     }
@@ -173,51 +176,6 @@ fn served_order_is_class_then_deadline_then_arrival() {
     // Batch request cannot jump the class boundary.
     assert_eq!(*served_log.lock().unwrap(), vec![20, 10, 11, 14, 12, 13]);
     assert_ledgers_balance(&engine.stats());
-}
-
-#[test]
-fn model_quota_refuses_one_models_burst_but_admits_others() {
-    let d = chain_dataset();
-    let gate = Gate::closed();
-    let gated = GatedRecommender::new(
-        HittingTimeRecommender::new(&d, GraphRecConfig::default()),
-        Arc::clone(&gate),
-    );
-    let engine = Engine::builder()
-        .model("gated", Arc::new(gated) as SharedRecommender)
-        .model(
-            "HT",
-            Arc::new(HittingTimeRecommender::new(&d, GraphRecConfig::default()))
-                as SharedRecommender,
-        )
-        .workers(1)
-        .queue_capacity(8)
-        .admission(AdmissionPolicy::Reject)
-        .model_quota(1)
-        .build();
-    let parked = engine.submit(RecommendRequest::new("gated", 0, 3)).unwrap();
-    gate.await_arrivals(1);
-
-    let queued = engine.submit(RecommendRequest::new("gated", 1, 3)).unwrap();
-    // The gated model is at its quota: its next request is refused even
-    // though seven queue slots are free…
-    let refused = engine.submit(RecommendRequest::new("gated", 2, 3));
-    assert!(matches!(refused, Err(ServeError::Overloaded)));
-    // …while another model's request is admitted untouched.
-    let other = engine.submit(RecommendRequest::new("HT", 3, 3)).unwrap();
-    assert_eq!(engine.queue_depth(), 2);
-    let stats = engine.stats();
-    assert_eq!(stats.rejected, 1);
-
-    gate.open();
-    for p in [parked, queued, other] {
-        assert!(p.wait().is_ok(), "admitted requests all complete");
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.completed, 3);
-    assert_ledgers_balance(&stats);
-    // Rejections never enter the class ledger: only admitted work does.
-    assert_eq!(stats.per_class[Priority::Interactive.index()].submitted, 3);
 }
 
 /// Wraps HT with a fixed pre-scoring delay and a call counter: a model
@@ -296,7 +254,6 @@ fn unmeetable_deadline_is_slack_shed_without_running_the_model() {
         "a slack-shed request must never reach the model"
     );
     let stats = engine.stats();
-    assert_eq!(stats.shed_unmeetable, 1);
     assert_eq!(stats.shed, 1, "slack sheds are sheds in the global ledger");
     let interactive = stats.per_class[Priority::Interactive.index()];
     assert_eq!(interactive.shed, 1);

@@ -236,7 +236,7 @@ fn deploying_an_ingest_model_panics() {
             "HT",
             Arc::new(DeltaStore::new(base.clone(), DeltaConfig::default())),
         )
-        .workers(0)
+        .workers(1)
         .build();
     let _ = engine.deploy("HT", ht(&base));
 }
@@ -253,7 +253,7 @@ fn one_store_attached_to_two_models_panics() {
         .ingest("HT", store.clone())
         .model("HT2", ht(&base))
         .ingest("HT2", store)
-        .workers(0)
+        .workers(1)
         .build();
 }
 

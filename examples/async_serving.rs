@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 
 fn main() {
     // 1. Data + engine: one HT model behind a small worker pool with a
-    //    bounded admission queue. `ShedOldest` keeps `submit` non-blocking
-    //    under overload: fresh traffic is admitted by dropping the stalest
-    //    waiter instead of refusing the new request or blocking.
+    //    bounded admission queue. `Reject` keeps `submit` non-blocking
+    //    under overload: a request that finds the queue full is refused at
+    //    once with `Overloaded` instead of waiting for a slot.
     let config = SyntheticConfig {
         n_users: 300,
         n_items: 240,
@@ -33,10 +33,10 @@ fn main() {
         .model("HT", ht)
         .workers(2)
         .queue_capacity(16)
-        .admission(AdmissionPolicy::ShedOldest)
+        .admission(AdmissionPolicy::Reject)
         .build();
     println!(
-        "engine up: {} workers, queue capacity 16, ShedOldest backpressure",
+        "engine up: {} workers, queue capacity 16, Reject backpressure",
         engine.n_workers()
     );
 
@@ -69,19 +69,18 @@ fn main() {
         .map(|u| engine.submit(RecommendRequest::new("HT", u % 300, 5)))
         .collect();
     let mut served = 0usize;
-    let mut shed = 0usize;
+    let mut refused = 0usize;
     for handle in burst {
         match handle {
             Ok(p) => match p.wait() {
                 Ok(_) => served += 1,
-                Err(ServeError::Overloaded) => shed += 1,
                 Err(e) => panic!("unexpected failure: {e}"),
             },
-            Err(ServeError::Overloaded) => shed += 1,
+            Err(ServeError::Overloaded) => refused += 1,
             Err(e) => panic!("unexpected refusal: {e}"),
         }
     }
-    println!("\nburst of 48: {served} served, {shed} shed by backpressure");
+    println!("\nburst of 48: {served} served, {refused} refused by backpressure");
 
     // 4. Deadlines: an expired request is shed at dequeue — the DP never
     //    runs for it — while a generously-deadlined one serves normally.
@@ -98,10 +97,12 @@ fn main() {
     println!("expired deadline -> DeadlineExceeded; 5s budget -> served");
 
     // 5. The counters tie it all together: every admitted request lands in
-    //    exactly one outcome bucket.
+    //    exactly one outcome bucket; refusals were never admitted.
     let stats: EngineStats = engine.stats();
+    assert_eq!(stats.rejected, refused as u64);
     println!(
-        "\nengine stats: {} submitted = {} completed + {} shed + {} expired@dequeue + {} expired@dp + {} failed",
+        "\nengine stats: {} rejected; {} submitted = {} completed + {} shed + {} expired@dequeue + {} expired@dp + {} failed",
+        stats.rejected,
         stats.submitted,
         stats.completed,
         stats.shed,

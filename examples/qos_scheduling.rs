@@ -128,7 +128,7 @@ fn main() {
     let stats: EngineStats = annotated.stats();
     println!(
         "\nunmeetable deadline -> DeadlineExceeded ({} slack-shed, {} expired at dequeue)",
-        stats.shed_unmeetable, stats.expired_at_dequeue
+        stats.shed, stats.expired_at_dequeue
     );
 
     // 5. Every class keeps its own ledger (plus a latency histogram): each

@@ -90,8 +90,8 @@ pub mod prelude {
         AdmissionPolicy, BreakerConfig, BreakerState, ClassStats, CompactionReport, DeltaConfig,
         DeltaRating, DeltaStore, Engine, EngineBuilder, EngineHealth, EngineStats, FaultKind,
         FaultPlan, FaultyRecommender, IngestStats, ModelHealth, ModelProvenance, ModuloRouter,
-        PendingResponse, Priority, RangeRouter, RecommendRequest, RecommendResponse, RetryPolicy,
-        ServeError, ShardRouter, VersionRecord,
+        PendingResponse, Priority, RecommendRequest, RecommendResponse, RetryPolicy, ServeError,
+        ShardRouter, VersionRecord,
     };
     pub use longtail_topics::{LdaConfig, LdaModel};
 }
