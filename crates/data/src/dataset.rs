@@ -240,55 +240,6 @@ impl Dataset {
             self.times.clone(),
         )
     }
-
-    /// Partition the corpus into `n_shards` user-disjoint views, each a
-    /// full-size dataset (same `n_users` × `n_items` dimensions) whose
-    /// rating rows are kept only for the users `route` assigns to that
-    /// shard. `route(user, n_shards)` is the same signature a serving
-    /// `ShardRouter` exposes, so training shards line up with the shards a
-    /// sharded engine routes requests to — shard `s` trains on exactly the
-    /// users whose queries shard `s` will serve.
-    ///
-    /// Global dimensions are preserved on purpose: every shard's model
-    /// scores the same item catalog and indexes the same user ids, so
-    /// per-shard models are drop-in deployable behind one router with no
-    /// id remapping. Users routed elsewhere simply have empty rows (a
-    /// shard's model treats them as unrated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards` is 0, or if `route` sends any user to a shard
-    /// index `>= n_shards`.
-    pub fn shard_by_user(&self, n_shards: usize, route: impl Fn(u32, usize) -> usize) -> Vec<Self> {
-        assert!(n_shards > 0, "cannot shard into 0 shards");
-        let mut per_shard: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); n_shards];
-        let mut stamps_per_shard: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); n_shards];
-        for u in 0..self.n_users() {
-            let shard = route(u as u32, n_shards);
-            assert!(
-                shard < n_shards,
-                "route sent user {u} to shard {shard} of {n_shards}"
-            );
-            for (i, v) in self.user_items.iter_row(u) {
-                per_shard[shard].push((u as u32, i, v));
-            }
-            if let Some(times) = &self.times {
-                for (i, t) in times.iter_row(u) {
-                    stamps_per_shard[shard].push((u as u32, i, t));
-                }
-            }
-        }
-        per_shard
-            .into_iter()
-            .zip(stamps_per_shard)
-            .map(|(triplets, stamps)| Self {
-                user_items: CsrMatrix::from_triplets(self.n_users(), self.n_items(), &triplets),
-                times: self.times.as_ref().map(|_| {
-                    CsrMatrix::from_triplets_with(self.n_users(), self.n_items(), &stamps, f64::max)
-                }),
-            })
-            .collect()
-    }
 }
 
 /// The rating-value contract of the dataset constructors: finite and
@@ -372,31 +323,6 @@ mod tests {
         assert_eq!(g.n_edges(), 4);
     }
 
-    #[test]
-    fn shard_by_user_partitions_rows_and_keeps_dims() {
-        let d = sample();
-        let shards = d.shard_by_user(2, |u, n| u as usize % n);
-        assert_eq!(shards.len(), 2);
-        for s in &shards {
-            assert_eq!(s.n_users(), d.n_users());
-            assert_eq!(s.n_items(), d.n_items());
-        }
-        // Users 0 and 2 land on shard 0, user 1 on shard 1 — rows are
-        // disjoint and together reproduce the corpus.
-        assert_eq!(shards[0].rated_items(0), d.rated_items(0));
-        assert_eq!(shards[0].rated_items(2), d.rated_items(2));
-        assert!(shards[0].rated_items(1).is_empty());
-        assert_eq!(shards[1].rated_items(1), d.rated_items(1));
-        assert!(shards[1].rated_items(0).is_empty());
-        assert_eq!(shards[0].n_ratings() + shards[1].n_ratings(), d.n_ratings());
-    }
-
-    #[test]
-    #[should_panic(expected = "shard")]
-    fn shard_by_user_rejects_out_of_range_route() {
-        sample().shard_by_user(2, |_, n| n);
-    }
-
     fn timed_sample() -> Dataset {
         Dataset::from_timed_ratings(
             2,
@@ -473,19 +399,6 @@ mod tests {
         let it = g.item_user_times().expect("transposed stamps");
         assert_eq!(it.get(1, 1), Some(200.0));
         assert!(sample().to_graph().user_item_times().is_none());
-    }
-
-    #[test]
-    fn shard_by_user_carries_timestamps() {
-        let d = timed_sample();
-        let shards = d.shard_by_user(2, |u, n| u as usize % n);
-        assert_eq!(shards[0].times().unwrap().get(0, 0), Some(100.0));
-        assert_eq!(shards[0].times().unwrap().get(1, 1), None);
-        assert_eq!(shards[1].times().unwrap().get(1, 1), Some(200.0));
-        // Untimed datasets shard without inventing stamps.
-        assert!(sample().shard_by_user(2, |u, n| u as usize % n)[0]
-            .times()
-            .is_none());
     }
 
     #[test]

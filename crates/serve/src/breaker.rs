@@ -1,10 +1,9 @@
 //! Per-model circuit breakers: fail fast instead of feeding a bad model.
 //!
-//! Every registry slot (one per unsharded model, one per shard of a
-//! sharded group) owns a [`CircuitBreaker`] fed by the engine with request
-//! outcomes — panics, NaN-poisoned responses and in-DP deadline expiries
-//! count as failures; served responses count as successes. The breaker
-//! walks the classic three-state machine:
+//! Every registered model's active version owns a [`CircuitBreaker`] fed
+//! by the engine with request outcomes — panics, NaN-poisoned responses
+//! and in-DP deadline expiries count as failures; served responses count
+//! as successes. The breaker walks the classic three-state machine:
 //!
 //! * **Closed** — traffic flows; outcomes fill a rolling window. Once the
 //!   window holds [`BreakerConfig::failure_threshold`] failures, the
@@ -29,7 +28,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tuning of a circuit breaker's trip/recover behaviour (builder
-/// `breakers`; one breaker per model, one per shard for sharded models).
+/// `breakers`; one breaker per model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Size of the rolling outcome window (most recent requests).

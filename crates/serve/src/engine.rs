@@ -9,7 +9,6 @@ use crate::ingest::{CompactionReport, DeltaStore};
 use crate::pool::ContextPool;
 use crate::queue::{Admission, AdmissionPolicy, Job, JobQueue};
 use crate::request::{RecommendRequest, RecommendResponse, RetryPolicy, ServeError};
-use crate::router::ShardRouter;
 use crate::sched::{Priority, ServiceEwma};
 use crate::submit::{EngineCounters, EngineStats, PendingResponse};
 use longtail_core::{
@@ -47,9 +46,9 @@ impl std::fmt::Display for ModelProvenance {
     }
 }
 
-/// One *published version* of a servable unit: the recommender, its
-/// provenance, and the circuit breaker guarding it (disabled unless the
-/// engine was built with breakers).
+/// One *published version* of a registered model: the recommender and the
+/// circuit breaker guarding it (disabled unless the engine was built with
+/// breakers).
 ///
 /// Versions are immutable once published. Requests pin the version they
 /// resolved at dequeue by holding its `Arc` across execution, so a deploy
@@ -75,7 +74,7 @@ struct DeployRecord {
     handle: Weak<ModelVersion>,
 }
 
-/// One deploy-history row of a servable unit, as reported by
+/// One deploy-history row of a registered model, as reported by
 /// [`ModelHealth::deploy_history`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionRecord {
@@ -89,37 +88,41 @@ pub struct VersionRecord {
     pub retired: bool,
 }
 
-/// One servable unit as a *version chain*: the atomically swappable active
-/// version plus the deploy history. This is arc-swap semantics with a
-/// `Mutex<Arc<_>>`: readers clone the `Arc` under a lock held for
-/// nanoseconds, writers swap the `Arc` in place — no reader ever blocks on
-/// model execution, and no deploy ever waits for in-flight requests.
+/// One registered model as a *version chain*: the atomically swappable
+/// active version plus the deploy history, under one lock. This is
+/// arc-swap semantics under a mutex: readers clone the active `Arc` under
+/// a lock held for nanoseconds, writers swap the `Arc` in place — no reader
+/// ever blocks on model execution, and no deploy ever waits for in-flight
+/// requests.
 struct ModelSlot {
-    active: Mutex<Arc<ModelVersion>>,
-    /// Every version ever published for this unit, oldest first (the
-    /// active one is the last entry).
-    history: Mutex<Vec<DeployRecord>>,
+    state: Mutex<SlotState>,
+}
+
+struct SlotState {
+    /// The version requests resolve to: always `history`'s last entry.
+    active: Arc<ModelVersion>,
+    /// Every version ever published for this model, oldest first.
+    history: Vec<DeployRecord>,
 }
 
 impl ModelSlot {
-    fn new(
-        rec: SharedRecommender,
-        breaker_config: Option<BreakerConfig>,
-        provenance: ModelProvenance,
-    ) -> Self {
-        let version = Arc::new(ModelVersion {
+    /// Version 1 of a build-time registration.
+    fn new(rec: SharedRecommender, breaker_config: Option<BreakerConfig>) -> Self {
+        let active = Arc::new(ModelVersion {
             version: 1,
             rec,
             breaker: CircuitBreaker::new(breaker_config),
         });
         let record = DeployRecord {
             version: 1,
-            provenance,
-            handle: Arc::downgrade(&version),
+            provenance: ModelProvenance::InProcess,
+            handle: Arc::downgrade(&active),
         };
         Self {
-            active: Mutex::new(version),
-            history: Mutex::new(vec![record]),
+            state: Mutex::new(SlotState {
+                active,
+                history: vec![record],
+            }),
         }
     }
 
@@ -127,7 +130,7 @@ impl ModelSlot {
     /// exact version alive for as long as the caller holds it, across any
     /// number of concurrent deploys.
     fn active(&self) -> Arc<ModelVersion> {
-        Arc::clone(&self.active.lock())
+        Arc::clone(&self.state.lock().active)
     }
 
     /// Atomically publish a new version: requests that resolve after this
@@ -135,115 +138,70 @@ impl ModelSlot {
     /// finish on the version they resolved. Returns the new version
     /// number.
     ///
-    /// Lock order: an ingest store's state, then this slot's history, then
-    /// its active version. A compaction commit publishes under the store
-    /// lock and an ingest read's pin takes store → active, so no path takes
-    /// them in reverse. The active version is always the history's last
-    /// entry: both change together under the history lock.
+    /// Lock order: an ingest store's state, then this slot. A compaction
+    /// commit publishes under the store lock and an ingest read's pin takes
+    /// store → slot, so no path takes them in reverse.
     fn publish(
         &self,
         rec: SharedRecommender,
         breaker_config: Option<BreakerConfig>,
         provenance: ModelProvenance,
     ) -> u32 {
-        let mut history = self.history.lock();
-        let version = history.last().map_or(0, |r| r.version) + 1;
+        let mut state = self.state.lock();
+        let version = state.active.version + 1;
         let fresh = Arc::new(ModelVersion {
             version,
             rec,
             breaker: CircuitBreaker::new(breaker_config),
         });
-        history.push(DeployRecord {
+        state.history.push(DeployRecord {
             version,
             provenance,
             handle: Arc::downgrade(&fresh),
         });
-        *self.active.lock() = fresh;
+        state.active = fresh;
         version
     }
 
-    /// The deploy history as public rows, oldest first; the last row is
-    /// the active version.
-    fn records(&self) -> Vec<VersionRecord> {
-        let history = self.history.lock();
-        let active = history.last().map_or(0, |r| r.version);
-        history
+    /// This model's health row, read in one critical section, so its
+    /// version, provenance, breaker and history describe the same active
+    /// version even while a deploy races the read.
+    fn health(&self, name: &str, fallback: Option<String>) -> ModelHealth {
+        let state = self.state.lock();
+        let active = &state.active;
+        // The slot holds the active version, so only replaced versions can
+        // read as retired.
+        let deploy_history: Vec<VersionRecord> = state
+            .history
             .iter()
             .map(|r| VersionRecord {
                 version: r.version,
                 provenance: r.provenance.clone(),
-                retired: r.version != active && r.handle.strong_count() == 0,
+                retired: r.handle.strong_count() == 0,
             })
-            .collect()
-    }
-}
-
-/// One registry slot: a single model, or a user-sharded group of them.
-/// Sharded groups carry one version chain (and therefore one breaker) per
-/// shard — a down shard stops taking its users' traffic without opening
-/// the whole group, and each shard deploys independently.
-enum ModelEntry {
-    Single(ModelSlot),
-    Sharded {
-        router: Arc<dyn ShardRouter>,
-        shards: Vec<ModelSlot>,
-    },
-}
-
-impl ModelEntry {
-    /// Pin the active version (and shard index, for sharded entries)
-    /// owning `user`'s requests. The returned `Arc` is the request's
-    /// version for its whole execution — deploys that land later swap the
-    /// slot, not this pin.
-    fn resolve(&self, user: u32) -> (Arc<ModelVersion>, Option<usize>) {
-        match self {
-            Self::Single(slot) => (slot.active(), None),
-            Self::Sharded { router, shards } => {
-                let shard = router.route(user, shards.len());
-                assert!(
-                    shard < shards.len(),
-                    "router returned shard {shard} for {} shards",
-                    shards.len()
-                );
-                (shards[shard].active(), Some(shard))
-            }
+            .collect();
+        let active_record = deploy_history
+            .last()
+            .expect("a slot's history is never empty");
+        let provenance = active_record.provenance.clone();
+        ModelHealth {
+            name: name.to_string(),
+            breaker: active.breaker.state(),
+            fallback,
+            breaker_trips: active.breaker.trips(),
+            version: active.version,
+            provenance,
+            deploy_history,
         }
-    }
-
-    /// The unit slots (length 1 for unsharded models).
-    fn slots(&self) -> Vec<&ModelSlot> {
-        match self {
-            Self::Single(slot) => vec![slot],
-            Self::Sharded { shards, .. } => shards.iter().collect(),
-        }
-    }
-
-    /// Breaker state per servable unit's *active version* (length 1 for
-    /// unsharded models).
-    fn breaker_states(&self) -> Vec<BreakerState> {
-        self.slots()
-            .into_iter()
-            .map(|s| s.active().breaker.state())
-            .collect()
-    }
-
-    /// Lifetime Closed→Open trips of the entry's *active* breakers.
-    /// Breakers reset per deploy, so this counts trips since each unit's
-    /// last deploy.
-    fn breaker_trips(&self) -> u64 {
-        self.slots()
-            .into_iter()
-            .map(|s| s.active().breaker.trips())
-            .sum()
     }
 }
 
 /// Registry + pools + counters — the part of the engine shared with worker
 /// threads.
 struct EngineCore {
-    models: HashMap<String, ModelEntry>,
-    /// Streaming-ingest stores by registry name, one store per unsharded
-    /// model: requests for these models serve base + delta-overlay at a
+    models: HashMap<String, ModelSlot>,
+    /// Streaming-ingest stores by registry name, one store per model:
+    /// requests for these models serve base + delta-overlay at a
     /// pinned `(version, epoch)` pair, and [`Engine::compact_and_deploy`]
     /// folds their deltas into rebuilt bases (the only way their versions
     /// advance).
@@ -350,7 +308,7 @@ impl EngineCore {
     /// bounded retry loop, and degraded-mode fallback when the primary is
     /// unavailable.
     fn execute(&self, req: &RecommendRequest) -> Result<RecommendResponse, ServeError> {
-        let entry = self
+        let slot = self
             .models
             .get(&req.model)
             .ok_or_else(|| ServeError::UnknownModel(req.model.clone()))?;
@@ -363,15 +321,12 @@ impl EngineCore {
         // delta epoch), taken in one critical section under the store's
         // lock. A compaction publishes its model under that lock too, so
         // the snapshot always overlays the pinned version.
-        let (version, shard, snap) = match self.deltas.get(&req.model) {
-            None => {
-                let (version, shard) = entry.resolve(req.user);
-                (version, shard, None)
-            }
+        let (version, snap) = match self.deltas.get(&req.model) {
+            None => (slot.active(), None),
             Some(store) => {
-                let ((version, shard), snap) = store.pin(|| entry.resolve(req.user));
+                let (version, snap) = store.pin(|| slot.active());
                 debug_assert_eq!(snap.base_version, version.version);
-                (version, shard, Some(snap))
+                (version, Some(snap))
             }
         };
 
@@ -423,7 +378,7 @@ impl EngineCore {
             // evidence about the model. Only the first attempt can be the
             // half-open probe.
             let probe = probe && attempt_no == 1;
-            match self.attempt(&version, shard, req, &opts, snap.as_ref().map(|s| s.epoch)) {
+            match self.attempt(&version, req, &opts, snap.as_ref().map(|s| s.epoch)) {
                 Ok(resp) => {
                     version.breaker.record_success(probe);
                     pledge.settle();
@@ -466,7 +421,7 @@ impl EngineCore {
         req: &RecommendRequest,
         why: ServeError,
     ) -> Result<RecommendResponse, ServeError> {
-        let Some(entry) = self
+        let Some(slot) = self
             .fallbacks
             .get(&req.model)
             .and_then(|name| self.models.get(name))
@@ -476,14 +431,14 @@ impl EngineCore {
             }
             return Err(why);
         };
-        let (version, shard) = entry.resolve(req.user);
+        let version = slot.active();
         // The fallback is never re-ranked: a degraded answer is the
         // availability floor, and no rerank index binds to the fallback's
         // graph anyway. Nor does it carry a delta: it serves its own frozen
         // base with no epoch claim, even when the primary had ingest
         // attached — a degraded answer makes no epoch-consistency promise.
         let opts = self.request_options(req);
-        match self.attempt(&version, shard, req, &opts, None) {
+        match self.attempt(&version, req, &opts, None) {
             // The struct update keeps the fallback's own `version` field:
             // the response reports the version that actually served it.
             Ok(resp) => Ok(RecommendResponse {
@@ -516,7 +471,6 @@ impl EngineCore {
     fn attempt(
         &self,
         version: &ModelVersion,
-        shard: Option<usize>,
         req: &RecommendRequest,
         opts: &RecommendOptions<'_>,
         epoch: Option<u64>,
@@ -567,7 +521,6 @@ impl EngineCore {
             items,
             model: version.rec.name(),
             version: version.version,
-            shard,
             epoch,
             telemetry,
             provenance,
@@ -655,32 +608,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     format!("non-string panic payload ({:?})", payload.type_id())
 }
 
-/// Point-in-time health snapshot of one registered model (or sharded
-/// group) — see [`Engine::health`].
+/// Point-in-time health snapshot of one registered model — see
+/// [`Engine::health`]. Every field is read in one critical section, so
+/// they all describe the same active version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelHealth {
     /// Registry name of the model.
     pub name: String,
-    /// Breaker state per servable unit: one entry for unsharded models,
-    /// one per shard for sharded groups. All-`Closed` when breakers are
-    /// disabled. Reflects each unit's *active version* (breakers reset per
-    /// deploy).
-    pub breakers: Vec<BreakerState>,
+    /// Breaker state of the *active version* (breakers reset per deploy).
+    /// `Closed` when breakers are disabled.
+    pub breaker: BreakerState,
     /// Registry name of the fallback that answers (degraded) when this
     /// model is unavailable, if one is registered.
     pub fallback: Option<String>,
-    /// Closed→Open breaker trips of the active versions, summed over
-    /// shards (since each unit's last deploy — breakers reset per deploy).
+    /// Closed→Open breaker trips of the active version (since the last
+    /// deploy — breakers reset per deploy).
     pub breaker_trips: u64,
-    /// Active version per servable unit, parallel to `breakers` (`name@v`
-    /// in operator-speak: entry `i` serves as `name@versions[i]`).
-    pub versions: Vec<u32>,
-    /// Provenance of each unit's active version, parallel to `versions`.
-    pub provenance: Vec<ModelProvenance>,
-    /// Full deploy history per servable unit, oldest first — every version
-    /// ever published, with its provenance and whether it has fully
-    /// retired (no longer active, last in-flight borrow dropped).
-    pub deploy_history: Vec<Vec<VersionRecord>>,
+    /// The active version (`name@v` in operator-speak).
+    pub version: u32,
+    /// Where the active version came from.
+    pub provenance: ModelProvenance,
+    /// Full deploy history, oldest first — every version ever published,
+    /// with its provenance and whether it has fully retired (no longer
+    /// active, last in-flight borrow dropped).
+    pub deploy_history: Vec<VersionRecord>,
 }
 
 /// Point-in-time health snapshot of an [`Engine`], read via
@@ -713,16 +664,16 @@ impl EngineHealth {
             && self
                 .models
                 .iter()
-                .all(|m| m.breakers.iter().all(|b| *b == BreakerState::Closed))
+                .all(|m| m.breaker == BreakerState::Closed)
     }
 }
 
 /// The multi-model serving engine.
 ///
-/// An `Engine` owns a registry of named models (optionally sharded by a
-/// [`ShardRouter`]), a [`ContextPool`] of reusable scoring contexts, and a
-/// pool of persistent worker threads (at least one) draining a **bounded
-/// admission queue**. Three request paths:
+/// An `Engine` owns a registry of named models (one model, and one
+/// version chain, per name), a [`ContextPool`] of reusable scoring
+/// contexts, and a pool of persistent worker threads (at least one)
+/// draining a **bounded admission queue**. Three request paths:
 ///
 /// * [`Engine::recommend`] — inline on the calling thread (lowest latency);
 /// * [`Engine::submit`] — non-blocking enqueue, returning a
@@ -745,7 +696,7 @@ impl EngineHealth {
 /// ([`ServeError::Overloaded`] / [`ServeError::DeadlineExceeded`]).
 ///
 /// **Fault tolerance** is opt-in per engine: [`EngineBuilder::breakers`]
-/// arms a circuit breaker per model/shard (open breaker → fail fast with
+/// arms a circuit breaker per model (open breaker → fail fast with
 /// [`ServeError::CircuitOpen`] before any queue slot or context is spent),
 /// [`EngineBuilder::default_retry`] retries model faults on fresh
 /// contexts, and [`EngineBuilder::fallback`] routes unavailable primaries
@@ -825,9 +776,8 @@ impl Engine {
         // read-only check, the authoritative transition still happens at
         // the worker's admit().
         if !self.core.fallbacks.contains_key(&request.model) {
-            if let Some(entry) = self.core.models.get(&request.model) {
-                let (version, _) = entry.resolve(request.user);
-                if version.breaker.would_refuse() {
+            if let Some(slot) = self.core.models.get(&request.model) {
+                if slot.active().breaker.would_refuse() {
                     EngineCounters::bump(&self.core.counters.circuit_open);
                     return Err(ServeError::CircuitOpen);
                 }
@@ -880,8 +830,8 @@ impl Engine {
         names
     }
 
-    /// Atomically publish a new version of the unsharded model `name`,
-    /// returning the version number it is now serving as (`name@v`).
+    /// Atomically publish a new version of model `name`, returning the
+    /// version number it is now serving as (`name@v`).
     ///
     /// Hot swap semantics: requests already executing (or dequeued)
     /// finished resolving their version and complete on it; requests that
@@ -907,10 +857,6 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `name` is registered as a sharded group — shard deploys
-    /// must name their shard via [`Engine::deploy_shard`] (deploying one
-    /// model over N shards is a topology change, not a version bump).
-    ///
     /// Panics if `name` has an ingest store attached
     /// ([`EngineBuilder::ingest`]): its delta is relative to the store's
     /// base dataset, which a model built elsewhere need not share, so its
@@ -926,7 +872,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// As [`Engine::deploy`]: if `name` is sharded or has an ingest store.
+    /// As [`Engine::deploy`]: if `name` has an ingest store.
     pub fn deploy_from(
         &self,
         name: &str,
@@ -937,60 +883,12 @@ impl Engine {
             !self.core.deltas.contains_key(name),
             "model {name:?} has an ingest store; deploy it with compact_and_deploy"
         );
-        match self.core.models.get(name) {
-            None => Err(ServeError::UnknownModel(name.to_string())),
-            Some(ModelEntry::Single(slot)) => {
-                Ok(slot.publish(rec, self.core.breaker_config, provenance))
-            }
-            Some(ModelEntry::Sharded { .. }) => {
-                panic!("model {name:?} is sharded; deploy per shard with deploy_shard")
-            }
-        }
-    }
-
-    /// Atomically publish a new version of shard `shard` of the sharded
-    /// group `name`. Same swap semantics and carryover policy as
-    /// [`Engine::deploy`]; each shard's version chain advances
-    /// independently.
-    ///
-    /// Errors with [`ServeError::UnknownModel`] if `name` was never
-    /// registered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is unsharded or `shard` is out of range (topology
-    /// mismatches are programming errors, consistent with the builder's
-    /// shape asserts).
-    pub fn deploy_shard(
-        &self,
-        name: &str,
-        shard: usize,
-        rec: SharedRecommender,
-    ) -> Result<u32, ServeError> {
-        self.deploy_shard_from(name, shard, rec, ModelProvenance::InProcess)
-    }
-
-    /// [`Engine::deploy_shard`] with explicit provenance (see
-    /// [`Engine::deploy_from`]).
-    pub fn deploy_shard_from(
-        &self,
-        name: &str,
-        shard: usize,
-        rec: SharedRecommender,
-        provenance: ModelProvenance,
-    ) -> Result<u32, ServeError> {
-        match self.core.models.get(name) {
-            None => Err(ServeError::UnknownModel(name.to_string())),
-            Some(ModelEntry::Single(_)) => {
-                panic!("model {name:?} is not sharded; use deploy")
-            }
-            Some(ModelEntry::Sharded { shards, .. }) => {
-                let slot = shards.get(shard).unwrap_or_else(|| {
-                    panic!("shard {shard} out of range for {} shards", shards.len())
-                });
-                Ok(slot.publish(rec, self.core.breaker_config, provenance))
-            }
-        }
+        let slot = self
+            .core
+            .models
+            .get(name)
+            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
+        Ok(slot.publish(rec, self.core.breaker_config, provenance))
     }
 
     /// Fold model `name`'s accumulated delta into a freshly built base and
@@ -1033,9 +931,8 @@ impl Engine {
             .deltas
             .get(name)
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-        let Some(ModelEntry::Single(slot)) = self.core.models.get(name) else {
-            unreachable!("build() attaches ingest stores to unsharded models only")
-        };
+        // `build()` attaches ingest stores to registered models only.
+        let slot = &self.core.models[name];
         let _serialize = store.lock_for_compaction();
         let (union, folded) = store.begin_compaction();
         let rec = build(&union);
@@ -1104,27 +1001,7 @@ impl Engine {
             .core
             .models
             .iter()
-            .map(|(name, entry)| {
-                let mut versions = Vec::new();
-                let mut provenance = Vec::new();
-                let mut deploy_history = Vec::new();
-                for slot in entry.slots() {
-                    let records = slot.records();
-                    let active = records.last().expect("a slot's history is never empty");
-                    versions.push(active.version);
-                    provenance.push(active.provenance.clone());
-                    deploy_history.push(records);
-                }
-                ModelHealth {
-                    name: name.clone(),
-                    breakers: entry.breaker_states(),
-                    fallback: self.core.fallbacks.get(name).cloned(),
-                    breaker_trips: entry.breaker_trips(),
-                    versions,
-                    provenance,
-                    deploy_history,
-                }
-            })
+            .map(|(name, slot)| slot.health(name, self.core.fallbacks.get(name).cloned()))
             .collect();
         models.sort_by(|a, b| a.name.cmp(&b.name));
         EngineHealth {
@@ -1233,7 +1110,7 @@ fn worker_loop(core: Arc<EngineCore>, queue: Arc<JobQueue>) {
 
 /// Configures and builds an [`Engine`].
 pub struct EngineBuilder {
-    models: HashMap<String, BuilderEntry>,
+    models: HashMap<String, SharedRecommender>,
     fallbacks: HashMap<String, String>,
     deltas: HashMap<String, Arc<DeltaStore>>,
     workers: Option<usize>,
@@ -1243,19 +1120,6 @@ pub struct EngineBuilder {
     breakers: Option<BreakerConfig>,
     queue_capacity: usize,
     policy: AdmissionPolicy,
-}
-
-/// Builder-side registry entries (breakers attach at build, once the
-/// engine-wide [`BreakerConfig`] is known). Shards carry the provenance
-/// version 1 will report — `InProcess` unless registered via
-/// [`EngineBuilder::sharded_model_from`]; a single model is always
-/// `InProcess`.
-enum BuilderEntry {
-    Single(SharedRecommender),
-    Sharded {
-        router: Arc<dyn ShardRouter>,
-        shards: Vec<(SharedRecommender, ModelProvenance)>,
-    },
 }
 
 impl EngineBuilder {
@@ -1285,47 +1149,7 @@ impl EngineBuilder {
     /// Register `rec` under `name`, replacing any previous registration of
     /// that name. Provenance reports as "trained in-process".
     pub fn model(mut self, name: impl Into<String>, rec: SharedRecommender) -> Self {
-        self.models.insert(name.into(), BuilderEntry::Single(rec));
-        self
-    }
-
-    /// Register a user-sharded model group under `name`: requests route to
-    /// `shards[router.route(user, shards.len())]`. Provenance reports as
-    /// "trained in-process"; use [`EngineBuilder::sharded_model_from`] for
-    /// snapshot-loaded shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn sharded_model(
-        self,
-        name: impl Into<String>,
-        router: Arc<dyn ShardRouter>,
-        shards: Vec<SharedRecommender>,
-    ) -> Self {
-        let shards = shards
-            .into_iter()
-            .map(|rec| (rec, ModelProvenance::InProcess))
-            .collect();
-        self.sharded_model_from(name, router, shards)
-    }
-
-    /// [`EngineBuilder::sharded_model`] with per-shard provenance — pass
-    /// [`ModelProvenance::Snapshot`] for a shard loaded from a snapshot file
-    /// so [`Engine::health`] reports where its version 1 came from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn sharded_model_from(
-        mut self,
-        name: impl Into<String>,
-        router: Arc<dyn ShardRouter>,
-        shards: Vec<(SharedRecommender, ModelProvenance)>,
-    ) -> Self {
-        assert!(!shards.is_empty(), "a sharded model needs at least 1 shard");
-        self.models
-            .insert(name.into(), BuilderEntry::Sharded { router, shards });
+        self.models.insert(name.into(), rec);
         self
     }
 
@@ -1342,18 +1166,18 @@ impl EngineBuilder {
     ///
     /// # Panics
     ///
-    /// [`EngineBuilder::build`] panics if `name` is unregistered or
-    /// sharded (per-shard ingest is a topology question this store does
-    /// not answer), or if the same store (the same `Arc`) is attached to
-    /// two names: a store's delta and epochs belong to one model.
+    /// [`EngineBuilder::build`] panics if `name` is unregistered, or if the
+    /// same store (the same `Arc`) is attached to two names: a store's
+    /// delta and epochs belong to one model.
     pub fn ingest(mut self, name: impl Into<String>, store: Arc<DeltaStore>) -> Self {
         self.deltas.insert(name.into(), store);
         self
     }
 
     /// Arm a circuit breaker (with this config) on every registered model
-    /// and shard. Without this call breakers are disabled: nothing is
-    /// recorded, nothing ever refuses, the fault-free path is unchanged.
+    /// and each version deployed later. Without this call breakers are
+    /// disabled: nothing is recorded, nothing ever refuses, the fault-free
+    /// path is unchanged.
     pub fn breakers(mut self, config: BreakerConfig) -> Self {
         self.breakers = Some(config);
         self
@@ -1437,8 +1261,8 @@ impl EngineBuilder {
     ///
     /// Panics if a [`EngineBuilder::fallback`] registration names an
     /// unregistered model, maps a model to itself, an
-    /// [`EngineBuilder::ingest`] attachment names an unregistered or
-    /// sharded model or shares its store with another name, or a
+    /// [`EngineBuilder::ingest`] attachment names an unregistered model or
+    /// shares its store with another name, or a
     /// [`EngineBuilder::rerank_index`] attachment names an unregistered
     /// model.
     pub fn build(self) -> Engine {
@@ -1449,13 +1273,10 @@ impl EngineBuilder {
             );
         }
         for (name, store) in &self.deltas {
-            match self.models.get(name) {
-                Some(BuilderEntry::Single(..)) => {}
-                Some(BuilderEntry::Sharded { .. }) => {
-                    panic!("ingest store attached to sharded model {name:?}; ingest requires an unsharded registration")
-                }
-                None => panic!("ingest store attached to unknown model {name:?}"),
-            }
+            assert!(
+                self.models.contains_key(name),
+                "ingest store attached to unknown model {name:?}"
+            );
             if let Some((other, _)) = self
                 .deltas
                 .iter()
@@ -1481,26 +1302,10 @@ impl EngineBuilder {
             );
         }
         let breakers = self.breakers;
-        // Build-time registrations start every version chain at version 1,
-        // with the provenance the registration declared.
-        let slot = |(rec, provenance): (SharedRecommender, ModelProvenance)| {
-            ModelSlot::new(rec, breakers, provenance)
-        };
         let models = self
             .models
             .into_iter()
-            .map(|(name, entry)| {
-                let entry = match entry {
-                    BuilderEntry::Single(rec) => {
-                        ModelEntry::Single(slot((rec, ModelProvenance::InProcess)))
-                    }
-                    BuilderEntry::Sharded { router, shards } => ModelEntry::Sharded {
-                        router,
-                        shards: shards.into_iter().map(slot).collect(),
-                    },
-                };
-                (name, entry)
-            })
+            .map(|(name, rec)| (name, ModelSlot::new(rec, breakers)))
             .collect();
         let workers = self
             .workers

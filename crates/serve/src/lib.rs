@@ -6,15 +6,14 @@
 //! latency):
 //!
 //! * **Registry of named models** — one [`Engine`] owns every variant a
-//!   deployment serves (`"HT"`, `"AC2"`, `"PureSVD"`, …) plus optional
-//!   *user-sharded* groups (several graphs routed by a [`ShardRouter`]),
-//!   so popularity-bias-aware deployments can pick which model answers
-//!   per request instead of linking one model per binary.
+//!   deployment serves (`"HT"`, `"AC2"`, `"PureSVD"`, …), one model per
+//!   name, so popularity-bias-aware deployments can pick which model
+//!   answers per request instead of linking one model per binary.
 //! * **Typed request surface** — [`RecommendRequest`] carries user, k,
 //!   model name, an optional [`longtail_core::DpStopping`] override, a
 //!   request-scoped exclusion set and an optional deadline;
-//!   [`RecommendResponse`] carries the list, the answering model + shard,
-//!   and the request's [`longtail_core::DpTelemetry`].
+//!   [`RecommendResponse`] carries the list, the answering model and
+//!   version, and the request's [`longtail_core::DpTelemetry`].
 //! * **Async front-end** — [`Engine::submit`] enqueues without blocking
 //!   and returns a [`PendingResponse`] handle
 //!   (`try_recv`/`wait_timeout`/`wait`, no async runtime required); the
@@ -43,7 +42,7 @@
 //!   [`Engine::submit`] plus an in-order drain, and engine drop cancels
 //!   the queued backlog so shutdown is bounded-time.
 //! * **Fault tolerance (opt-in)** — [`EngineBuilder::breakers`] arms a
-//!   **circuit breaker** per model/shard (rolling failure window over
+//!   **circuit breaker** per model (rolling failure window over
 //!   panics, poisoned scores and in-DP deadline expiries;
 //!   Closed→Open→HalfOpen; open breakers fail fast with
 //!   [`ServeError::CircuitOpen`] before any queue slot or context is
@@ -82,7 +81,6 @@ mod ingest;
 mod pool;
 mod queue;
 mod request;
-mod router;
 mod sched;
 mod submit;
 
@@ -98,6 +96,5 @@ pub use ingest::{
 pub use pool::ContextPool;
 pub use queue::AdmissionPolicy;
 pub use request::{RecommendRequest, RecommendResponse, RetryPolicy, ServeError};
-pub use router::{ModuloRouter, ShardRouter};
 pub use sched::{latency_bucket_bound, latency_quantile, Priority, LATENCY_BUCKETS};
 pub use submit::{ClassStats, EngineStats, PendingResponse};

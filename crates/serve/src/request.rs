@@ -74,8 +74,7 @@ pub struct RecommendRequest {
     pub user: u32,
     /// List length.
     pub k: usize,
-    /// Name of the registered model (or sharded model group) to serve
-    /// from.
+    /// Name of the registered model to serve from.
     pub model: String,
     /// Per-request stopping override for the walk family's serving DP;
     /// `None` uses [`DpStopping::default`] (adaptive).
@@ -202,8 +201,6 @@ pub struct RecommendResponse {
     /// `Recommender::name()`, e.g. `"AC2"` — the registry name is echoed
     /// on the request).
     pub model: &'static str,
-    /// Which shard served the request; `None` for unsharded models.
-    pub shard: Option<usize>,
     /// Version of the model that answered (`1` = the build-time
     /// registration; each [`crate::Engine::deploy`] increments it). A
     /// request is pinned to the version it resolved at execution start —
@@ -259,9 +256,9 @@ pub enum ServeError {
     /// drop cancels every not-yet-started request so teardown never waits
     /// on a backlog.
     ShuttingDown,
-    /// The routed model's (or shard's) circuit breaker is open and no
-    /// fallback model is registered: the request is refused fast — at
-    /// submit time when possible, before it spends a queue slot or a
+    /// The routed model's circuit breaker is open and no fallback model is
+    /// registered: the request is refused fast — at submit time when
+    /// possible, before it spends a queue slot or a
     /// [`longtail_core::ScoringContext`] — instead of feeding a model the
     /// rolling window says is down.
     CircuitOpen,

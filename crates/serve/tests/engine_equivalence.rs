@@ -1,8 +1,8 @@
 //! Engine equivalence: property tests over random bipartite corpora.
 //!
-//! The engine adds routing, context pooling and a worker pool on top of
-//! `Recommender::recommend_into`; none of that may ever change a ranking.
-//! Three pinned contracts, each across all 8 recommender families:
+//! The engine adds a model registry, context pooling and a worker pool on
+//! top of `Recommender::recommend_into`; none of that may ever change a
+//! ranking. Two pinned contracts, each across all 8 recommender families:
 //!
 //! * **context pooling is invisible** — lists produced through
 //!   [`ContextPool`]-recycled contexts are bit-identical to fresh-context
@@ -10,10 +10,7 @@
 //! * **`Engine::recommend` ≡ direct `recommend_into`** — same items, same
 //!   ranks, same scores, for every registered model, under the default
 //!   policy, a `Fixed` override, and request-scoped exclusions; batches
-//!   through the persistent worker pool agree with the inline path;
-//! * **sharded routing is transparent** — a sharded registration answers
-//!   exactly what the owning shard's recommender answers directly, and
-//!   reports the shard the router picked.
+//!   through the persistent worker pool agree with the inline path.
 //!
 //! Every test that serves through an engine ends with
 //! `common::assert_ledgers_balance`. Case counts honour `PROPTEST_CASES`
@@ -24,9 +21,7 @@ use longtail_core::{
     Recommender, ScoredItem, ScoringContext,
 };
 use longtail_data::{Dataset, Rating};
-use longtail_serve::{
-    ContextPool, Engine, ModuloRouter, RecommendRequest, ServeError, SharedRecommender,
-};
+use longtail_serve::{ContextPool, Engine, RecommendRequest, ServeError, SharedRecommender};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -118,7 +113,6 @@ proptest! {
                         u
                     );
                     prop_assert_eq!(response.model, rec.name());
-                    prop_assert_eq!(response.shard, None);
                     batch.push(req);
                     expected_items.push(items_of(&direct));
                 }
@@ -130,42 +124,6 @@ proptest! {
         }
         // Aggregate telemetry accounted for every walk-family DP run.
         prop_assert!(engine.telemetry().queries > 0);
-        assert_ledgers_balance(&engine.stats());
-    }
-
-    /// (c) Sharded routing is transparent: the engine's answer under a
-    /// 2-shard `ModuloRouter` registration equals querying the owning
-    /// shard's recommender directly, and the response names that shard.
-    #[test]
-    fn sharded_routing_matches_owning_shard(rs in ratings()) {
-        let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
-        // Two genuinely different models per shard: different walk budgets.
-        let shards: Vec<SharedRecommender> = vec![
-            Arc::new(HittingTimeRecommender::new(
-                &d,
-                GraphRecConfig { max_items: 4, iterations: 15 },
-            )),
-            Arc::new(HittingTimeRecommender::new(&d, GraphRecConfig::default())),
-        ];
-        let engine = Engine::builder()
-            .sharded_model("HT", Arc::new(ModuloRouter), shards.clone())
-            .workers(1)
-            .build();
-        let opts = RecommendOptions::default();
-        let mut ctx = ScoringContext::new();
-        let mut direct = Vec::new();
-        for u in 0..d.n_users() as u32 {
-            let response = engine.recommend(&RecommendRequest::new("HT", u, 5)).unwrap();
-            let owner = u as usize % shards.len();
-            prop_assert_eq!(response.shard, Some(owner), "user {}", u);
-            shards[owner].recommend_into(u, 5, &opts, &mut ctx, &mut direct);
-            prop_assert_eq!(
-                &response.items,
-                &direct,
-                "user {}: sharded answer diverged from owning shard",
-                u
-            );
-        }
         assert_ledgers_balance(&engine.stats());
     }
 }

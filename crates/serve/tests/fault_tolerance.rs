@@ -35,11 +35,11 @@
 //! `common::assert_ledgers_balance`. Case counts honour `PROPTEST_CASES`
 //! (see `vendor/proptest`), which CI pins so the suite stays bounded.
 
-use longtail_core::{PopularityRecommender, Recommender, ScoredItem};
+use longtail_core::{PopularityRecommender, Recommender, RerankIndex, ScoredItem};
 use longtail_data::{Dataset, Rating};
 use longtail_serve::{
-    BreakerConfig, BreakerState, Engine, FaultKind, FaultPlan, FaultyRecommender, RecommendRequest,
-    RetryPolicy, ServeError, SharedRecommender,
+    BreakerConfig, BreakerState, DeltaConfig, DeltaStore, Engine, FaultKind, FaultPlan,
+    FaultyRecommender, RecommendRequest, RetryPolicy, ServeError, SharedRecommender,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -325,7 +325,7 @@ fn check_fallback_serves_degraded(fault: FaultKind) {
     // attempted at all.
     let health = engine.health();
     let primary = health.models.iter().find(|m| m.name == "primary").unwrap();
-    assert_eq!(primary.breakers, vec![BreakerState::Open]);
+    assert_eq!(primary.breaker, BreakerState::Open);
     assert_eq!(primary.fallback.as_deref(), Some("POP"));
     assert!(!health.all_healthy());
     assert_eq!(
@@ -421,7 +421,7 @@ fn out_of_range_users_are_served_empty_and_never_trip_the_breaker() {
         assert!(!valid.items.is_empty(), "{model}: user 0 has candidates");
     }
     for model in engine.health().models {
-        assert_eq!(model.breakers, vec![BreakerState::Closed], "{}", model.name);
+        assert_eq!(model.breaker, BreakerState::Closed, "{}", model.name);
         assert_eq!(model.breaker_trips, 0, "{}", model.name);
     }
     let stats = engine.stats();
@@ -460,7 +460,7 @@ fn successful_probe_fully_closes_breaker() {
     assert!(!resp.degraded);
     assert_eq!(resp.items, pop.recommend(0, 3));
     let health = engine.health();
-    assert_eq!(health.models[0].breakers, vec![BreakerState::Closed]);
+    assert_eq!(health.models[0].breaker, BreakerState::Closed);
     assert_eq!(health.models[0].breaker_trips, 1);
     assert!(health.all_healthy());
     // And stays closed for normal traffic.
@@ -500,7 +500,7 @@ fn poisoned_scores_are_refused_and_feed_the_breaker() {
     assert_eq!(stats.failed, 2);
     assert_eq!(stats.contexts_discarded, 0, "no panic: contexts survive");
     // Two poisons == threshold: the breaker is open.
-    assert_eq!(engine.health().models[0].breakers, vec![BreakerState::Open]);
+    assert_eq!(engine.health().models[0].breaker, BreakerState::Open);
     assert_ledgers_balance(&stats);
 }
 
@@ -605,7 +605,7 @@ fn probe_that_kills_its_worker_reopens_breaker_and_recovers() {
     );
     // The dead probe must not wedge the breaker HalfOpen: it is Open
     // again, cooling down toward the next probe.
-    let state = engine.health().models[0].breakers[0];
+    let state = engine.health().models[0].breaker;
     assert_eq!(state, BreakerState::Open, "probe death must re-open");
 
     // Supervision respawns the killed worker (poll as the thread unwinds).
@@ -625,7 +625,7 @@ fn probe_that_kills_its_worker_reopens_breaker_and_recovers() {
     assert!(!resp.degraded);
     assert_eq!(resp.items, pop.recommend(3, 3));
     let health = engine.health();
-    assert_eq!(health.models[0].breakers, vec![BreakerState::Closed]);
+    assert_eq!(health.models[0].breaker, BreakerState::Closed);
     assert!(health.all_healthy());
     assert_ledgers_balance(&engine.stats());
 }
@@ -676,4 +676,35 @@ fn builder_rejects_bad_fallback_wiring() {
     };
     assert!(build("missing").is_err(), "fallback must be registered");
     assert!(build("POP").is_err(), "a model cannot be its own fallback");
+}
+
+/// The message `build` panics with, or `None` if it built.
+fn build_panic(build: impl FnOnce() -> Engine) -> Option<String> {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).err()?;
+    let message = payload.downcast_ref::<String>().cloned();
+    Some(message.unwrap_or_default())
+}
+
+#[test]
+fn builder_rejects_ingest_and_rerank_on_unknown_models() {
+    let d = corpus();
+    let builder = || {
+        Engine::builder().workers(1).model(
+            "POP",
+            Arc::new(PopularityRecommender::train(&d)) as SharedRecommender,
+        )
+    };
+    let store = Arc::new(DeltaStore::new(d.clone(), DeltaConfig::default()));
+    let index = Arc::new(RerankIndex::from_dataset(&d));
+
+    let ingest = build_panic(|| builder().ingest("missing", store).build());
+    assert_eq!(
+        ingest.as_deref(),
+        Some("ingest store attached to unknown model \"missing\"")
+    );
+    let rerank = build_panic(|| builder().rerank_index("missing", index).build());
+    assert_eq!(
+        rerank.as_deref(),
+        Some("rerank index attached to unknown model \"missing\"")
+    );
 }

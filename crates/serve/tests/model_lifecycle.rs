@@ -14,19 +14,18 @@
 //!   in-flight pin drops, and never before the swap;
 //! * **breaker reset** — a tripped breaker does not follow the model
 //!   across a deploy: the new version starts with a fresh, closed breaker;
+//! * **provenance** — [`Engine::health`] reports where the active version
+//!   and every earlier one came from;
 //! * **typed errors** — deploying to an unregistered name fails with
-//!   [`ServeError::UnknownModel`]; topology mismatches (deploying a
-//!   sharded group without naming a shard, or shard-deploying an unsharded
-//!   model) panic like the builder's shape asserts.
+//!   [`ServeError::UnknownModel`].
 //!
-//! Every test but the `should_panic` ones, which serve nothing, ends with
-//! `common::assert_ledgers_balance`.
+//! Every test ends with `common::assert_ledgers_balance`.
 
 use longtail_core::{GraphRecConfig, HittingTimeRecommender, PopularityRecommender, Recommender};
 use longtail_data::{Dataset, Rating};
 use longtail_serve::{
     BreakerConfig, BreakerState, Engine, FaultKind, FaultPlan, FaultyRecommender, ModelProvenance,
-    ModuloRouter, RecommendRequest, RetryPolicy, ServeError, SharedRecommender,
+    RecommendRequest, RetryPolicy, ServeError, SharedRecommender,
 };
 use std::sync::Arc;
 
@@ -101,7 +100,7 @@ fn in_flight_requests_pin_their_version_across_a_deploy() {
 
     // Version 1 must not retire while R1 still holds its pin.
     let health = engine.health();
-    let history = &health.models[0].deploy_history[0];
+    let history = &health.models[0].deploy_history;
     assert_eq!(history.len(), 2);
     assert!(
         !history[0].retired,
@@ -124,8 +123,8 @@ fn in_flight_requests_pin_their_version_across_a_deploy() {
     // With the pin released, version 1 retires; version 2 is active.
     let health = engine.health();
     let model = &health.models[0];
-    assert_eq!(model.versions, vec![2]);
-    let history = &model.deploy_history[0];
+    assert_eq!(model.version, 2);
+    let history = &model.deploy_history;
     assert!(
         history[0].retired,
         "version 1 kept alive after its last pin"
@@ -227,7 +226,7 @@ fn deploy_resets_the_breaker_and_carries_ledgers() {
         assert!(matches!(err, Err(ServeError::RequestPanicked(_))));
     }
     let before = engine.health();
-    assert_eq!(before.models[0].breakers, vec![BreakerState::Open]);
+    assert_eq!(before.models[0].breaker, BreakerState::Open);
     let panicked_before = engine.stats().panicked;
     assert_eq!(panicked_before, 2);
 
@@ -238,8 +237,8 @@ fn deploy_resets_the_breaker_and_carries_ledgers() {
         .deploy("POP", Arc::new(PopularityRecommender::train(&d)))
         .unwrap();
     let after = engine.health();
-    assert_eq!(after.models[0].breakers, vec![BreakerState::Closed]);
-    assert_eq!(after.models[0].versions, vec![2]);
+    assert_eq!(after.models[0].breaker, BreakerState::Closed);
+    assert_eq!(after.models[0].version, 2);
     assert_eq!(engine.stats().panicked, panicked_before);
     let ok = engine
         .recommend(&RecommendRequest::new("POP", 0, 3))
@@ -247,38 +246,6 @@ fn deploy_resets_the_breaker_and_carries_ledgers() {
     assert_eq!(ok.version, 2);
     assert_ledgers_balance(&engine.stats());
     let _ = std::panic::take_hook();
-}
-
-#[test]
-fn sharded_groups_deploy_per_shard_independently() {
-    let d = corpus();
-    let shards: Vec<SharedRecommender> = (0..2)
-        .map(|_| Arc::new(PopularityRecommender::train(&d)) as SharedRecommender)
-        .collect();
-    let engine = Engine::builder()
-        .sharded_model("POP", Arc::new(ModuloRouter), shards)
-        .workers(1)
-        .build();
-    // Users 1, 3 route to shard 1; users 0, 2, 4 to shard 0.
-    assert_eq!(
-        engine
-            .deploy_shard("POP", 1, Arc::new(PopularityRecommender::train(&corpus())))
-            .unwrap(),
-        2
-    );
-    let on_new = engine
-        .recommend(&RecommendRequest::new("POP", 1, 3))
-        .unwrap();
-    let on_old = engine
-        .recommend(&RecommendRequest::new("POP", 0, 3))
-        .unwrap();
-    assert_eq!((on_new.shard, on_new.version), (Some(1), 2));
-    assert_eq!((on_old.shard, on_old.version), (Some(0), 1));
-    let health = engine.health();
-    assert_eq!(health.models[0].versions, vec![1, 2]);
-    assert_eq!(health.models[0].deploy_history[0].len(), 1);
-    assert_eq!(health.models[0].deploy_history[1].len(), 2);
-    assert_ledgers_balance(&engine.stats());
 }
 
 #[test]
@@ -298,17 +265,17 @@ fn deploy_reports_provenance_in_health() {
         .unwrap();
     let health = engine.health();
     let model = &health.models[0];
-    assert_eq!(model.provenance, vec![ModelProvenance::Snapshot(path)]);
+    assert_eq!(model.provenance, ModelProvenance::Snapshot(path));
     assert_eq!(
-        model.deploy_history[0][0].provenance,
+        model.deploy_history[0].provenance,
         ModelProvenance::InProcess
     );
     assert_eq!(
-        format!("{}", model.provenance[0]),
+        format!("{}", model.provenance),
         "snapshot /models/pop_v2.snap"
     );
     assert_eq!(
-        format!("{}", model.deploy_history[0][0].provenance),
+        format!("{}", model.deploy_history[0].provenance),
         "trained in-process"
     );
     assert_ledgers_balance(&engine.stats());
@@ -322,46 +289,5 @@ fn deploying_an_unknown_model_fails_typed() {
         .build();
     let err = engine.deploy("nope", Arc::new(PopularityRecommender::train(&corpus())));
     assert_eq!(err.unwrap_err(), ServeError::UnknownModel("nope".into()));
-    let err = engine.deploy_shard("nope", 0, Arc::new(PopularityRecommender::train(&corpus())));
-    assert_eq!(err.unwrap_err(), ServeError::UnknownModel("nope".into()));
     assert_ledgers_balance(&engine.stats());
-}
-
-#[test]
-#[should_panic(expected = "sharded")]
-fn deploying_a_sharded_group_without_a_shard_panics() {
-    let d = corpus();
-    let shards: Vec<SharedRecommender> = (0..2)
-        .map(|_| Arc::new(PopularityRecommender::train(&d)) as SharedRecommender)
-        .collect();
-    let engine = Engine::builder()
-        .sharded_model("POP", Arc::new(ModuloRouter), shards)
-        .workers(1)
-        .build();
-    let _ = engine.deploy("POP", Arc::new(PopularityRecommender::train(&d)));
-}
-
-#[test]
-#[should_panic(expected = "not sharded")]
-fn shard_deploying_an_unsharded_model_panics() {
-    let d = corpus();
-    let engine = Engine::builder()
-        .model("POP", Arc::new(PopularityRecommender::train(&d)))
-        .workers(1)
-        .build();
-    let _ = engine.deploy_shard("POP", 0, Arc::new(PopularityRecommender::train(&d)));
-}
-
-#[test]
-#[should_panic(expected = "out of range")]
-fn deploying_an_out_of_range_shard_panics() {
-    let d = corpus();
-    let shards: Vec<SharedRecommender> = (0..2)
-        .map(|_| Arc::new(PopularityRecommender::train(&d)) as SharedRecommender)
-        .collect();
-    let engine = Engine::builder()
-        .sharded_model("POP", Arc::new(ModuloRouter), shards)
-        .workers(1)
-        .build();
-    let _ = engine.deploy_shard("POP", 2, Arc::new(PopularityRecommender::train(&d)));
 }

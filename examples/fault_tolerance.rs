@@ -83,8 +83,8 @@ fn main() {
     let health = engine.health();
     for model in &health.models {
         println!(
-            "model {:>3}: breakers {:?}, trips {}, fallback {:?}",
-            model.name, model.breakers, model.breaker_trips, model.fallback
+            "model {:>3}: breaker {:?}, trips {}, fallback {:?}",
+            model.name, model.breaker, model.breaker_trips, model.fallback
         );
     }
     let stats = health.stats;

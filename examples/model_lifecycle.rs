@@ -1,6 +1,6 @@
-//! Model lifecycle tour: per-shard training, binary snapshots, a restart
-//! that reloads instead of retraining, and an atomic hot swap that
-//! publishes a new version while traffic is in flight.
+//! Model lifecycle tour: train a model, snapshot it, restart by reloading
+//! the snapshot instead of retraining, then hot-swap a retrained version
+//! in while the engine keeps serving.
 //!
 //! Run with:
 //!
@@ -9,141 +9,104 @@
 //! ```
 
 use longtail::prelude::*;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn main() {
-    // 1. Corpus + shard plan. `shard_by_user` uses the same route
-    //    signature as the serving `ShardRouter`, so shard s trains on
-    //    exactly the users whose queries shard s will serve.
-    const N_SHARDS: usize = 3;
+    // 1. Corpus.
     let config = SyntheticConfig {
         n_users: 240,
         n_items: 200,
         ..SyntheticConfig::movielens_like()
     };
     let data = SyntheticData::generate(&config);
-    let router = ModuloRouter;
-    let shards = data
-        .dataset
-        .shard_by_user(N_SHARDS, |u, n| router.route(u, n));
+    let train = &data.dataset;
     println!(
-        "corpus: {} users x {} items, {} ratings over {N_SHARDS} shards",
-        data.dataset.n_users(),
-        data.dataset.n_items(),
-        data.dataset.n_ratings()
+        "corpus: {} users x {} items, {} ratings",
+        train.n_users(),
+        train.n_items(),
+        train.n_ratings()
     );
 
-    // 2. Train each shard's model independently and snapshot it to disk —
-    //    the "training cluster" half of the lifecycle.
+    // 2. Train and snapshot to disk — the "training cluster" half of the
+    //    lifecycle.
     let dir = std::env::temp_dir().join("longtail_model_lifecycle");
     std::fs::create_dir_all(&dir).expect("create snapshot dir");
-    let mut paths = Vec::new();
-    for (s, shard) in shards.iter().enumerate() {
+    let train_and_snapshot = |iterations: usize, file: &str| -> PathBuf {
         let model = HittingTimeRecommender::new(
-            shard,
+            train,
             GraphRecConfig {
                 max_items: 120,
-                iterations: 40,
+                iterations,
             },
         );
-        let path = dir.join(format!("ht_shard{s}.snap"));
+        let path = dir.join(file);
         model.save_to_file(&path).expect("snapshot write");
         let bytes = std::fs::metadata(&path).expect("stat").len();
-        println!(
-            "shard {s}: trained on {} ratings, snapshot {bytes} B",
-            shard.n_ratings()
-        );
-        paths.push(path);
-    }
+        println!("trained HT at tau={iterations}, snapshot {file}: {bytes} B");
+        path
+    };
+    let v1_path = train_and_snapshot(40, "ht_v1.snap");
 
-    // 3. "Serving host restart": build the engine by *loading* every shard
-    //    from its snapshot — no retraining. Load is fallible and typed:
-    //    corrupt or truncated snapshots are rejected, never panic.
-    let loaded: Vec<_> = paths
-        .iter()
-        .map(|p| {
-            let rec = HittingTimeRecommender::load_from_file(p).expect("snapshot read");
-            (
-                Arc::new(rec) as Arc<dyn Recommender + Send + Sync>,
-                ModelProvenance::Snapshot(p.clone()),
-            )
-        })
-        .collect();
+    // 3. "Serving host restart": build the engine by *loading* the
+    //    snapshot — no retraining. Load is fallible and typed: corrupt or
+    //    truncated snapshots are rejected, never panic. The builder records
+    //    its registrations as in-process; `deploy_from` below names its
+    //    snapshot.
+    let v1 = HittingTimeRecommender::load_from_file(&v1_path).expect("snapshot read");
     let engine = Engine::builder()
-        .sharded_model_from("HT", Arc::new(ModuloRouter), loaded)
+        .model("HT", Arc::new(v1))
         .workers(2)
         .build();
+    let items = |r: &RecommendResponse| r.items.iter().map(|s| s.item).collect::<Vec<_>>();
     let r = engine
         .recommend(&RecommendRequest::new("HT", 7, 5))
         .expect("serve");
     println!(
-        "restarted from snapshots: user 7 -> {:?} (model {}, shard {:?}, version {})",
-        r.items.iter().map(|s| s.item).collect::<Vec<_>>(),
+        "restarted from snapshot: user 7 -> {:?} (model {}, version {})",
+        items(&r),
         r.model,
-        r.shard,
         r.version
     );
 
-    // 4. Hot swap: retrain shard 1 with a deeper walk and deploy it while
-    //    the engine keeps serving. The deploy is atomic — requests pin the
-    //    version they resolved, new requests route to the new one.
-    let retrained = HittingTimeRecommender::new(
-        &shards[1],
-        GraphRecConfig {
-            max_items: 120,
-            iterations: 60,
-        },
-    );
-    let retrained_path = dir.join("ht_shard1_v2.snap");
-    retrained
-        .save_to_file(&retrained_path)
-        .expect("snapshot write");
-    let v2 = HittingTimeRecommender::load_from_file(&retrained_path).expect("snapshot read");
+    // 4. Hot swap: retrain with a deeper walk, snapshot it, and deploy the
+    //    reloaded model while the engine keeps serving. The deploy is
+    //    atomic — requests pin the version they resolved, new requests
+    //    route to the new one.
+    let v2_path = train_and_snapshot(60, "ht_v2.snap");
+    let v2 = HittingTimeRecommender::load_from_file(&v2_path).expect("snapshot read");
     let version = engine
-        .deploy_shard_from(
+        .deploy_from(
             "HT",
-            1,
             Arc::new(v2),
-            ModelProvenance::Snapshot(retrained_path.clone()),
+            ModelProvenance::Snapshot(v2_path.clone()),
         )
         .expect("deploy");
-    println!("deployed shard 1 as HT@{version}");
-
-    // User 7 routes to shard 1 (7 % 3 == 1) and now serves on version 2;
-    // user 6 routes to shard 0, still on its version 1.
-    let on_new = engine
+    println!("deployed HT@{version}");
+    let r = engine
         .recommend(&RecommendRequest::new("HT", 7, 5))
         .unwrap();
-    let on_old = engine
-        .recommend(&RecommendRequest::new("HT", 6, 5))
-        .unwrap();
     println!(
-        "post-swap: user 7 served by shard {:?} version {}, user 6 by shard {:?} version {}",
-        on_new.shard, on_new.version, on_old.shard, on_old.version
+        "post-swap: user 7 -> {:?} (version {})",
+        items(&r),
+        r.version
     );
-    assert_eq!(on_new.version, 2);
-    assert_eq!(on_old.version, 1);
+    assert_eq!(r.version, 2);
 
-    // 5. Health reports the version chain: active version, provenance and
-    //    the deploy history per shard (retired versions are dropped once
-    //    their last in-flight pin releases).
+    // 5. Health reports the version chain: the active version, its
+    //    provenance and the deploy history (a replaced version retires once
+    //    its last in-flight pin releases).
     let health = engine.health();
     for m in &health.models {
-        for (s, ((v, prov), history)) in m
-            .versions
-            .iter()
-            .zip(&m.provenance)
-            .zip(&m.deploy_history)
-            .enumerate()
-        {
+        println!("{}@{}: {}", m.name, m.version, m.provenance);
+        for record in &m.deploy_history {
             println!(
-                "  {}@{v} shard {s}: {prov}, {} deploys, oldest retired: {}",
-                m.name,
-                history.len(),
-                history.first().map(|r| r.retired).unwrap_or(false)
+                "  version {}: {}, retired: {}",
+                record.version, record.provenance, record.retired
             );
         }
     }
+    assert!(health.models[0].deploy_history[0].retired);
 
     std::fs::remove_dir_all(&dir).ok();
     println!("lifecycle complete: train -> snapshot -> reload -> deploy");

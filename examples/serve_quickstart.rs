@@ -1,6 +1,6 @@
-//! Serving quickstart: stand up an `Engine` with several named models and
-//! a user-sharded group, then answer typed requests — with per-request
-//! stopping overrides, request-scoped exclusions and DP telemetry.
+//! Serving quickstart: stand up an `Engine` with several named models,
+//! then answer typed requests — with per-request stopping overrides,
+//! request-scoped exclusions and DP telemetry.
 //!
 //! Run with:
 //!
@@ -36,26 +36,11 @@ fn main() {
     ));
     let svd = Arc::new(PureSvdRecommender::train(train, 8));
 
-    // A user-sharded registration: even users hit one AT model, odd users
-    // another (here trained with different subgraph budgets; in a region-
-    // sharded deployment each shard would own its region's graph).
-    let at_shards: Vec<longtail::serve::SharedRecommender> = vec![
-        Arc::new(AbsorbingTimeRecommender::new(
-            train,
-            GraphRecConfig {
-                max_items: 60,
-                iterations: 60,
-            },
-        )),
-        Arc::new(AbsorbingTimeRecommender::new(train, walk)),
-    ];
-
     // 2. The engine: model registry + context pool + persistent workers.
     let engine = Engine::builder()
         .model("HT", ht)
         .model("AC1", ac1)
         .model("PureSVD", svd)
-        .sharded_model("AT-sharded", Arc::new(ModuloRouter), at_shards)
         .workers(4)
         .build();
     println!(
@@ -66,19 +51,16 @@ fn main() {
 
     // 3. Single requests on the low-latency inline path.
     let user = 7u32;
-    for model in ["HT", "AC1", "PureSVD", "AT-sharded"] {
+    for model in ["HT", "AC1", "PureSVD"] {
         let response = engine
             .recommend(&RecommendRequest::new(model, user, 3))
             .expect("model is registered");
         let items: Vec<u32> = response.items.iter().map(|s| s.item).collect();
         println!(
-            "user {user} via {:<10} -> {:?}  (answered by {}{}, DP {}/{} iterations)",
+            "user {user} via {:<7} -> {:?}  (answered by {}, DP {}/{} iterations)",
             model,
             items,
             response.model,
-            response
-                .shard
-                .map_or(String::new(), |s| format!(" shard {s}")),
             response.telemetry.iterations_run,
             response.telemetry.iterations_budget,
         );

@@ -26,7 +26,7 @@
 //! | [`topics`] | `longtail-topics` | Gibbs-sampled LDA over rating counts, user entropy |
 //! | [`data`]   | `longtail-data`   | synthetic long-tail datasets, MovieLens parsers, protocol splits, ontology |
 //! | [`core`]   | `longtail-core`   | the recommenders: HT, AT, AC1, AC2, LDA, PureSVD, PPR, DPPR, POP |
-//! | [`serve`]  | `longtail-serve`  | the serving engine: multi-model registry, shard routing, context pool, worker pool, circuit breakers + fallback |
+//! | [`serve`]  | `longtail-serve`  | the serving engine: multi-model registry, context pool, worker pool, circuit breakers + fallback |
 //! | [`eval`]   | `longtail-eval`   | Recall@N, Popularity@N, Diversity, Similarity, timing, user study |
 //!
 //! ## Quickstart
@@ -89,9 +89,8 @@ pub mod prelude {
     pub use longtail_serve::{
         AdmissionPolicy, BreakerConfig, BreakerState, ClassStats, CompactionReport, DeltaConfig,
         DeltaRating, DeltaStore, Engine, EngineBuilder, EngineHealth, EngineStats, FaultKind,
-        FaultPlan, FaultyRecommender, IngestStats, ModelHealth, ModelProvenance, ModuloRouter,
-        PendingResponse, Priority, RecommendRequest, RecommendResponse, RetryPolicy, ServeError,
-        ShardRouter, VersionRecord,
+        FaultPlan, FaultyRecommender, IngestStats, ModelHealth, ModelProvenance, PendingResponse,
+        Priority, RecommendRequest, RecommendResponse, RetryPolicy, ServeError, VersionRecord,
     };
     pub use longtail_topics::{LdaConfig, LdaModel};
 }
