@@ -466,10 +466,16 @@ impl Persistable for LdaRecommender {
         let ratings = CsrMatrix::load_from(snap, "ratings")?;
         let [n_topics] = u64_array(snap, "n_topics")?;
         let n_topics = n_topics as usize;
+        if n_topics == 0 {
+            return Err(invalid(
+                "n_topics",
+                "a model needs at least one topic".into(),
+            ));
+        }
         let theta = snap.f64s("theta")?;
         let phi = snap.f64s("phi")?;
         let log_likelihood = snap.f64s("log_likelihood")?;
-        if theta.len() != ratings.rows() * n_topics {
+        if ratings.rows().checked_mul(n_topics) != Some(theta.len()) {
             return Err(invalid(
                 "theta",
                 format!(
@@ -479,7 +485,7 @@ impl Persistable for LdaRecommender {
                 ),
             ));
         }
-        if phi.len() != n_topics * ratings.cols() {
+        if n_topics.checked_mul(ratings.cols()) != Some(phi.len()) {
             return Err(invalid(
                 "phi",
                 format!(
@@ -654,6 +660,23 @@ mod tests {
             PopularityRecommender::load_from_bytes(hostile("POP")),
             Err(SnapshotError::InvalidSection { .. })
         ));
+        // LDA topic counts whose θ and φ sizes overflow, or that declare no
+        // topic: empty θ and φ must not pass for a model of that size.
+        for n_topics in [1u64 << 63, 0] {
+            let mut w = SnapshotWriter::new("LDA", 1);
+            train.user_items().save_into(&mut w, "ratings");
+            w.put_u64s("n_topics", &[n_topics]);
+            w.put_f64s("theta", &[]);
+            w.put_f64s("phi", &[]);
+            w.put_f64s("log_likelihood", &[]);
+            assert!(
+                matches!(
+                    LdaRecommender::load_from_bytes(w.to_bytes()),
+                    Err(SnapshotError::InvalidSection { .. })
+                ),
+                "n_topics = {n_topics}"
+            );
+        }
     }
 
     #[test]

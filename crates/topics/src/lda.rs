@@ -12,11 +12,23 @@
 //!   `Σ_z θ̂_u[z] · φ̂_z[i]`.
 //!
 //! The sampler is the standard collapsed Gibbs update of Eq. 12 (Griffiths &
-//! Steyvers 2004), with the count arrays `N1..N4` of Algorithm 2.
+//! Steyvers 2004), with the count arrays `N1..N4` of Algorithm 2:
+//!
+//! * the topic–item counts are stored item-major (`[item * K + z]`), so a
+//!   token reads its `K` counts as one slice, and each topic's denominator
+//!   `n_z + NI·β` is cached and refreshed only for the two topics a token
+//!   leaves and joins;
+//! * each sweep's log-likelihood is computed from the posterior means, one
+//!   `ln p(i|u)` per rated (user, item) pair, added once per token;
+//! * token topics are stored as `u16`, so a model has at most 65,536
+//!   topics.
 
 use longtail_graph::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// Most topics a model can have: token topics are stored as `u16`.
+const MAX_TOPICS: usize = 1 << 16;
 
 /// Hyper-parameters of the Gibbs-sampled LDA model.
 #[derive(Debug, Clone, Copy)]
@@ -72,12 +84,22 @@ impl LdaModel {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix has no positive entries.
+    /// Panics if `n_topics` is outside `1..=65_536`, if `alpha` or `beta` is
+    /// not finite and positive, or if the matrix has no positive entries.
     pub fn train(counts: &CsrMatrix, config: &LdaConfig) -> Self {
+        let k = config.n_topics;
+        assert!(
+            (1..=MAX_TOPICS).contains(&k),
+            "LdaConfig::n_topics must be in 1..={MAX_TOPICS}, got {k}"
+        );
+        for (name, prior) in [("alpha", config.alpha), ("beta", config.beta)] {
+            assert!(
+                prior.is_finite() && prior > 0.0,
+                "LdaConfig::{name} must be finite and positive, got {prior}"
+            );
+        }
         let n_users = counts.rows();
         let n_items = counts.cols();
-        let k = config.n_topics;
-        assert!(k > 0, "need at least one topic");
 
         // Expand the sparse counts into a token stream. `doc_ptr` delimits
         // each user's tokens, exactly like CSR row pointers.
@@ -86,8 +108,7 @@ impl LdaModel {
         doc_ptr.push(0);
         for u in 0..n_users {
             for (i, w) in counts.iter_row(u) {
-                let reps = (w + 0.5).floor() as usize;
-                token_item.extend(std::iter::repeat_n(i, reps));
+                token_item.extend(std::iter::repeat_n(i, tokens(w)));
             }
             doc_ptr.push(token_item.len());
         }
@@ -99,48 +120,78 @@ impl LdaModel {
         let beta = config.beta;
         let beta_sum = beta * n_items as f64;
 
-        // Count arrays (Algorithm 2's N1..N4): topic-item, user-topic and
-        // topic totals. Per-user totals are implicit in doc_ptr.
-        let mut n_topic_item = vec![0u32; k * n_items];
+        // Count arrays (Algorithm 2's N1..N4): item-topic (item-major),
+        // user-topic and topic totals. Per-user totals are implicit in
+        // doc_ptr.
+        let mut n_item_topic = vec![0u32; n_items * k];
         let mut n_user_topic = vec![0u32; n_users * k];
         let mut n_topic = vec![0u32; k];
         let mut token_topic: Vec<u16> = Vec::with_capacity(n_tokens);
 
         // Random initialization (Algorithm 2, step 2).
-        for (t, &item) in token_item.iter().enumerate() {
-            let u = user_of_token(&doc_ptr, t);
-            let z = rng.random_range(0..k);
-            token_topic.push(z as u16);
-            n_topic_item[z * n_items + item as usize] += 1;
-            n_user_topic[u * k + z] += 1;
-            n_topic[z] += 1;
+        for u in 0..n_users {
+            for &item in &token_item[doc_ptr[u]..doc_ptr[u + 1]] {
+                let z = rng.random_range(0..k);
+                token_topic.push(z as u16);
+                n_item_topic[item as usize * k + z] += 1;
+                n_user_topic[u * k + z] += 1;
+                n_topic[z] += 1;
+            }
         }
+        // Eq. 12's topic denominators `n_z + NI·β`, refreshed whenever
+        // `n_z` moves.
+        let mut denom: Vec<f64> = n_topic.iter().map(|&n| n as f64 + beta_sum).collect();
+
+        let mut model = Self {
+            n_topics: k,
+            n_users,
+            n_items,
+            theta: vec![0.0; n_users * k],
+            phi: vec![0.0; k * n_items],
+            log_likelihood: Vec::with_capacity(config.iterations),
+        };
+        // Posterior means: Eq. 13 for φ, Eq. 14 for θ.
+        let alpha_sum = alpha * k as f64;
+        let posterior =
+            |model: &mut Self, n_item_topic: &[u32], n_user_topic: &[u32], denom: &[f64]| {
+                for z in 0..k {
+                    for i in 0..n_items {
+                        model.phi[z * n_items + i] =
+                            (n_item_topic[i * k + z] as f64 + beta) / denom[z];
+                    }
+                }
+                for u in 0..n_users {
+                    let doc_len = (doc_ptr[u + 1] - doc_ptr[u]) as f64;
+                    let denom = doc_len + alpha_sum;
+                    for z in 0..k {
+                        model.theta[u * k + z] = (n_user_topic[u * k + z] as f64 + alpha) / denom;
+                    }
+                }
+            };
 
         let mut weights = vec![0.0f64; k];
-        let mut log_likelihood = Vec::with_capacity(config.iterations);
         for _sweep in 0..config.iterations {
-            let mut token = 0usize;
             for u in 0..n_users {
                 let span = doc_ptr[u]..doc_ptr[u + 1];
-                for t in span {
-                    debug_assert_eq!(t, token);
-                    let item = token_item[t] as usize;
-                    let old = token_topic[t] as usize;
+                let user = &mut n_user_topic[u * k..(u + 1) * k];
+                for (&i, topic) in token_item[span.clone()].iter().zip(&mut token_topic[span]) {
+                    let item = &mut n_item_topic[i as usize * k..][..k];
                     // Remove the current assignment from the counts.
-                    n_topic_item[old * n_items + item] -= 1;
-                    n_user_topic[u * k + old] -= 1;
+                    let old = *topic as usize;
+                    item[old] -= 1;
+                    user[old] -= 1;
                     n_topic[old] -= 1;
+                    denom[old] = n_topic[old] as f64 + beta_sum;
 
                     // Eq. 12: p(z) ∝ (n_zi + β)/(n_z + NI·β) · (n_uz + α).
                     // The per-user denominator is constant across z and
                     // cancels in the draw.
                     let mut total = 0.0;
-                    for z in 0..k {
-                        let w = (n_topic_item[z * n_items + item] as f64 + beta)
-                            / (n_topic[z] as f64 + beta_sum)
-                            * (n_user_topic[u * k + z] as f64 + alpha);
-                        weights[z] = w;
-                        total += w;
+                    for (((w, &n_zi), &d), &n_uz) in
+                        weights.iter_mut().zip(&*item).zip(&denom).zip(&*user)
+                    {
+                        *w = (n_zi as f64 + beta) / d * (n_uz as f64 + alpha);
+                        total += *w;
                     }
                     let mut draw = rng.random_range(0.0..total);
                     let mut new = k - 1;
@@ -152,52 +203,34 @@ impl LdaModel {
                         }
                     }
 
-                    token_topic[t] = new as u16;
-                    n_topic_item[new * n_items + item] += 1;
-                    n_user_topic[u * k + new] += 1;
+                    *topic = new as u16;
+                    item[new] += 1;
+                    user[new] += 1;
                     n_topic[new] += 1;
-                    token += 1;
+                    denom[new] = n_topic[new] as f64 + beta_sum;
                 }
             }
-            log_likelihood.push(corpus_log_likelihood(
-                &doc_ptr,
-                &token_item,
-                &n_topic_item,
-                &n_user_topic,
-                &n_topic,
-                n_items,
-                k,
-                alpha,
-                beta,
-            ));
-        }
 
-        // Posterior means: Eq. 13 for φ, Eq. 14 for θ.
-        let mut phi = vec![0.0f64; k * n_items];
-        for z in 0..k {
-            let denom = n_topic[z] as f64 + beta_sum;
-            for i in 0..n_items {
-                phi[z * n_items + i] = (n_topic_item[z * n_items + i] as f64 + beta) / denom;
+            // The sweep's corpus log-likelihood `Σ_t ln p(item_t | u_t)` (up
+            // to a constant), from the posterior means: one `p` per rated
+            // pair, added once per token so the sum rounds as a per-token
+            // sum does.
+            posterior(&mut model, &n_item_topic, &n_user_topic, &denom);
+            let mut ll = 0.0;
+            for u in 0..n_users {
+                for (i, w) in counts.iter_row(u) {
+                    let log_p = model.score(u as u32, i).max(1e-300).ln();
+                    for _ in 0..tokens(w) {
+                        ll += log_p;
+                    }
+                }
             }
+            model.log_likelihood.push(ll);
         }
-        let mut theta = vec![0.0f64; n_users * k];
-        let alpha_sum = alpha * k as f64;
-        for u in 0..n_users {
-            let doc_len = (doc_ptr[u + 1] - doc_ptr[u]) as f64;
-            let denom = doc_len + alpha_sum;
-            for z in 0..k {
-                theta[u * k + z] = (n_user_topic[u * k + z] as f64 + alpha) / denom;
-            }
+        if config.iterations == 0 {
+            posterior(&mut model, &n_item_topic, &n_user_topic, &denom);
         }
-
-        Self {
-            n_topics: k,
-            n_users,
-            n_items,
-            theta,
-            phi,
-            log_likelihood,
-        }
+        model
     }
 
     /// Reassemble a model from its persisted posterior means — the load
@@ -315,55 +348,9 @@ impl LdaModel {
     }
 }
 
-/// Binary search the document (user) owning token `t`.
-fn user_of_token(doc_ptr: &[usize], t: usize) -> usize {
-    match doc_ptr.binary_search(&t) {
-        Ok(mut idx) => {
-            // `t` is the first token of a document; skip empty docs that
-            // share the same pointer.
-            while doc_ptr[idx + 1] == t {
-                idx += 1;
-            }
-            idx
-        }
-        Err(idx) => idx - 1,
-    }
-}
-
-/// Token-level log-likelihood `Σ_t ln p(item_t | u_t)` under the current
-/// count state, used to monitor sweep-over-sweep convergence.
-#[allow(clippy::too_many_arguments)]
-fn corpus_log_likelihood(
-    doc_ptr: &[usize],
-    token_item: &[u32],
-    n_topic_item: &[u32],
-    n_user_topic: &[u32],
-    n_topic: &[u32],
-    n_items: usize,
-    k: usize,
-    alpha: f64,
-    beta: f64,
-) -> f64 {
-    let beta_sum = beta * n_items as f64;
-    let alpha_sum = alpha * k as f64;
-    let n_users = doc_ptr.len() - 1;
-    let mut ll = 0.0;
-    for u in 0..n_users {
-        let doc_len = (doc_ptr[u + 1] - doc_ptr[u]) as f64;
-        let theta_denom = doc_len + alpha_sum;
-        for &token in &token_item[doc_ptr[u]..doc_ptr[u + 1]] {
-            let item = token as usize;
-            let mut p = 0.0;
-            for z in 0..k {
-                let phi = (n_topic_item[z * n_items + item] as f64 + beta)
-                    / (n_topic[z] as f64 + beta_sum);
-                let theta = (n_user_topic[u * k + z] as f64 + alpha) / theta_denom;
-                p += phi * theta;
-            }
-            ll += p.max(1e-300).ln();
-        }
-    }
-    ll
+/// Tokens a rating of weight `w` emits: `w` rounded half-up.
+fn tokens(w: f64) -> usize {
+    (w + 0.5).floor() as usize
 }
 
 #[cfg(test)]
@@ -498,12 +485,69 @@ mod tests {
         LdaModel::train(&counts, &LdaConfig::with_topics(2));
     }
 
+    /// `train` on a 3 x 4 corpus under `config`.
+    fn train_small(config: LdaConfig) -> LdaModel {
+        let counts = CsrMatrix::from_triplets(3, 4, &[(0, 0, 2.0), (1, 3, 1.0), (2, 1, 4.0)]);
+        LdaModel::train(&counts, &config)
+    }
+
     #[test]
-    fn user_of_token_handles_empty_docs() {
-        // doc 0: tokens [0,1); doc 1: empty; doc 2: tokens [1,3).
-        let doc_ptr = vec![0, 1, 1, 3];
-        assert_eq!(user_of_token(&doc_ptr, 0), 0);
-        assert_eq!(user_of_token(&doc_ptr, 1), 2);
-        assert_eq!(user_of_token(&doc_ptr, 2), 2);
+    #[should_panic(expected = "LdaConfig::n_topics must be in 1..=65536, got 0")]
+    fn zero_topics_rejected() {
+        train_small(LdaConfig {
+            n_topics: 0,
+            ..LdaConfig::with_topics(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "LdaConfig::n_topics must be in 1..=65536, got 70000")]
+    fn topics_beyond_u16_rejected() {
+        train_small(LdaConfig::with_topics(70_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "LdaConfig::alpha must be finite and positive, got -1")]
+    fn negative_alpha_rejected() {
+        train_small(LdaConfig {
+            alpha: -1.0,
+            ..LdaConfig::with_topics(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "LdaConfig::alpha must be finite and positive, got NaN")]
+    fn nan_alpha_rejected() {
+        train_small(LdaConfig {
+            alpha: f64::NAN,
+            ..LdaConfig::with_topics(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "LdaConfig::beta must be finite and positive, got 0")]
+    fn zero_beta_rejected() {
+        train_small(LdaConfig {
+            beta: 0.0,
+            ..LdaConfig::with_topics(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "LdaConfig::beta must be finite and positive, got inf")]
+    fn infinite_beta_rejected() {
+        train_small(LdaConfig {
+            beta: f64::INFINITY,
+            ..LdaConfig::with_topics(2)
+        });
+    }
+
+    #[test]
+    fn largest_topic_count_trains() {
+        let m = train_small(LdaConfig {
+            iterations: 1,
+            ..LdaConfig::with_topics(1 << 16)
+        });
+        assert_eq!(m.n_topics(), 1 << 16);
     }
 }
