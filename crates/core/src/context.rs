@@ -105,11 +105,10 @@ impl DpTelemetry {
 /// All reusable buffers a recommender query needs.
 ///
 /// The context is intentionally recommender-agnostic: the same instance can
-/// serve HT, AT, AC and PageRank queries back to back (the evaluation
-/// harness does exactly that when timing a roster). A context holds no
-/// query *results* — only scratch plus the serving policy and telemetry —
-/// so reusing it never changes scores; the batch-equivalence tests pin that
-/// guarantee.
+/// serve every family's queries back to back (the evaluation harness does
+/// exactly that when timing a roster). A context holds no query *results*
+/// — only scratch plus telemetry — so reusing it never changes scores; the
+/// batch-equivalence tests pin that guarantee.
 #[derive(Debug, Clone, Default)]
 pub struct ScoringContext {
     /// BFS subgraph extraction + induced transition kernel (Algorithm 1,
@@ -134,13 +133,6 @@ pub struct ScoringContext {
     /// Full score vector scratch for the score-then-sort fallback of
     /// [`crate::Recommender::recommend_into`].
     pub(crate) score_buf: Vec<f64>,
-    /// Dense sparse-candidate accumulator for the fused kNN / association-
-    /// rule paths. Invariant between queries: every slot is
-    /// `f64::NEG_INFINITY` (each query restores the slots it touched), so a
-    /// fused query costs `O(candidates)`, not `O(n_items)`.
-    pub(crate) accum: Vec<f64>,
-    /// Item ids whose [`ScoringContext::accum`] slot the current query set.
-    pub(crate) touched: Vec<u32>,
     /// Sorted item ids the query user has rated across base + delta, for
     /// the streaming-overlay serving path (exclusion + absorbing seeds).
     pub(crate) merged_rated: Vec<u32>,

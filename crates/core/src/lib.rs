@@ -51,9 +51,8 @@ pub use context::{with_thread_context, DpTelemetry, ScoringContext};
 pub use parallel::{parallel_map_indexed, parallel_map_indexed_with_states};
 pub use persist::Persistable;
 pub use recommenders::{
-    AbsorbingCostRecommender, AbsorbingTimeRecommender, AssociationRuleRecommender, EntropySource,
-    HittingTimeRecommender, KnnRecommender, LdaRecommender, PageRankFlavor, PageRankRecommender,
-    PopularityRecommender, PureSvdRecommender, RuleConfig, UserSimilarity,
+    AbsorbingCostRecommender, AbsorbingTimeRecommender, EntropySource, HittingTimeRecommender,
+    LdaRecommender, PageRankFlavor, PageRankRecommender, PopularityRecommender, PureSvdRecommender,
 };
 pub use rerank::{ItemProvenance, RerankIndex, RerankPolicy, Reranker};
 pub use topk::{rank_of, top_k, ScoredItem, TopKCollector};
@@ -71,10 +70,9 @@ pub use longtail_graph::{EdgeDelta, RecencyDecay};
 ///
 /// Serving rides [`Recommender::recommend_into`] (and its batch form
 /// [`Recommender::recommend_batch`]), for base and streamed-delta reads
-/// alike ([`RecommendOptions::delta`]): a fused top-k path that every
-/// recommender overrides to push candidates into a bounded
-/// [`TopKCollector`] instead of materializing and sorting a full
-/// `O(n_items)` score vector. Fused output is pinned — by property tests —
+/// alike ([`RecommendOptions::delta`]): a top-k path that a family can
+/// override to push candidates into a bounded [`TopKCollector`] instead of
+/// materializing and sorting a full `O(n_items)` score vector. Fused output is pinned — by property tests —
 /// to be identical to `top_k` over [`Recommender::score_into`].
 ///
 /// `Sync` is a supertrait: every recommender is an immutable model after
@@ -179,13 +177,13 @@ pub trait Recommender: Sync {
     /// ratings. A wrapper that forwards `opts` forwards the delta with it.
     ///
     /// The default implementation *is* the score-then-collect computation
-    /// (through reusable context buffers). Five families override it with
+    /// (through reusable context buffers). Three families override it with
     /// fused paths that push candidates straight into the context's
     /// [`TopKCollector`], because each skips work the default cannot: the
-    /// walk family (HT/AT/AC) collects only the visited subgraph, kNN and
-    /// association rules only their candidate set, popularity stops at the
-    /// first rejected item of its presorted order, and PureSVD streams its
-    /// factor dots without materializing the catalog vector. LDA and
+    /// walk family (HT/AT/AC) collects only the visited subgraph,
+    /// popularity stops at the first rejected item of its presorted order,
+    /// and PureSVD streams its factor dots without materializing the
+    /// catalog vector. LDA and
     /// PageRank (PPR/DPPR) use the default: their scoring already touches
     /// every item, and a full-graph power iteration dominates each PageRank
     /// query.

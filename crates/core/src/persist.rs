@@ -14,10 +14,10 @@
 //!   O(training), so the restart-without-retrain property holds. The walk
 //!   families (HT, AT, AC) also persist the graph's timestamp matrix when
 //!   it has one, since recency-decayed serving reads it.
-//! * **Verbatim state** — families whose training is expensive or seeded
-//!   (kNN's quadratic neighbor search, rule mining, the randomized SVD
-//!   sketch, collapsed-Gibbs LDA, AC2's topic entropies) persist the
-//!   trained arrays themselves and restore them without recomputation.
+//! * **Verbatim state** — families whose training is seeded (the
+//!   randomized SVD sketch, collapsed-Gibbs LDA, AC2's topic entropies)
+//!   persist the trained arrays themselves and restore them without
+//!   recomputation.
 //!
 //! Each family declares a `KIND` tag and a `STATE_VERSION`; loading a
 //! snapshot of the wrong family or schema version fails with the matching
@@ -25,9 +25,8 @@
 //! structurally invalid payload — never a panic.
 
 use crate::recommenders::{
-    AbsorbingCostRecommender, AbsorbingTimeRecommender, AssociationRuleRecommender, EntropySource,
-    HittingTimeRecommender, KnnRecommender, LdaRecommender, PageRankFlavor, PageRankRecommender,
-    PopularityRecommender, PureSvdRecommender,
+    AbsorbingCostRecommender, AbsorbingTimeRecommender, EntropySource, HittingTimeRecommender,
+    LdaRecommender, PageRankFlavor, PageRankRecommender, PopularityRecommender, PureSvdRecommender,
 };
 use crate::{AbsorbingCostConfig, GraphRecConfig, Recommender};
 use longtail_data::Dataset;
@@ -130,79 +129,6 @@ fn f64_array<const N: usize>(snap: &Snapshot, name: &str) -> Result<[f64; N], Sn
             format!("expected {N} element(s), found {}", vals.len()),
         )
     })
-}
-
-/// Persist a jagged list of `(u32, f64)` rows (kNN neighbor lists, rule
-/// lists) as three flat sections: `{prefix}.ptr`, `{prefix}.ids`,
-/// `{prefix}.weights`.
-fn save_jagged(w: &mut SnapshotWriter, prefix: &str, lists: &[Vec<(u32, f64)>]) {
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let mut ptr = Vec::with_capacity(lists.len() + 1);
-    let mut ids = Vec::with_capacity(total);
-    let mut weights = Vec::with_capacity(total);
-    ptr.push(0u64);
-    for list in lists {
-        for &(id, weight) in list {
-            ids.push(id);
-            weights.push(weight);
-        }
-        ptr.push(ids.len() as u64);
-    }
-    w.put_u64s(&format!("{prefix}.ptr"), &ptr);
-    w.put_u32s(&format!("{prefix}.ids"), &ids);
-    w.put_f64s(&format!("{prefix}.weights"), &weights);
-}
-
-/// Load a jagged list written by [`save_jagged`], expecting exactly `n`
-/// rows whose ids stay below `id_bound`.
-fn load_jagged(
-    snap: &Snapshot,
-    prefix: &str,
-    n: usize,
-    id_bound: usize,
-) -> Result<Vec<Vec<(u32, f64)>>, SnapshotError> {
-    let ptr_name = format!("{prefix}.ptr");
-    let ptr = snap.usizes(&ptr_name)?;
-    let ids = snap.u32s(&format!("{prefix}.ids"))?;
-    let weights = snap.f64s(&format!("{prefix}.weights"))?;
-    if ptr.len() != n + 1 {
-        return Err(invalid(
-            &ptr_name,
-            format!("length {} != expected {} rows + 1", ptr.len(), n),
-        ));
-    }
-    if ptr[0] != 0 || ptr.windows(2).any(|w| w[0] > w[1]) {
-        return Err(invalid(
-            &ptr_name,
-            "pointers must start at 0 and be non-decreasing".to_string(),
-        ));
-    }
-    let total = *ptr.last().unwrap();
-    if ids.len() != total || weights.len() != total {
-        return Err(invalid(
-            &format!("{prefix}.ids"),
-            format!(
-                "pointers promise {total} entries, found {} ids / {} weights",
-                ids.len(),
-                weights.len()
-            ),
-        ));
-    }
-    if let Some(&bad) = ids.iter().find(|&&id| id as usize >= id_bound) {
-        return Err(invalid(
-            &format!("{prefix}.ids"),
-            format!("id {bad} out of bounds ({id_bound})"),
-        ));
-    }
-    Ok((0..n)
-        .map(|r| {
-            ids[ptr[r]..ptr[r + 1]]
-                .iter()
-                .copied()
-                .zip(weights[ptr[r]..ptr[r + 1]].iter().copied())
-                .collect()
-        })
-        .collect())
 }
 
 /// Shared load prologue: rating matrix → dataset.
@@ -386,38 +312,6 @@ impl Persistable for PopularityRecommender {
     }
 }
 
-impl Persistable for KnnRecommender {
-    const KIND: &'static str = "KNN";
-    const STATE_VERSION: u32 = 1;
-
-    fn save_into(&self, w: &mut SnapshotWriter) {
-        self.user_items().save_into(w, "ratings");
-        save_jagged(w, "neighbors", self.neighbor_lists());
-    }
-
-    fn load_from(snap: &Snapshot) -> Result<Self, SnapshotError> {
-        let ratings = CsrMatrix::load_from(snap, "ratings")?;
-        let neighbors = load_jagged(snap, "neighbors", ratings.rows(), ratings.rows())?;
-        Ok(Self::from_parts(ratings, neighbors))
-    }
-}
-
-impl Persistable for AssociationRuleRecommender {
-    const KIND: &'static str = "RULES";
-    const STATE_VERSION: u32 = 1;
-
-    fn save_into(&self, w: &mut SnapshotWriter) {
-        self.user_items().save_into(w, "ratings");
-        save_jagged(w, "rules", self.rule_lists());
-    }
-
-    fn load_from(snap: &Snapshot) -> Result<Self, SnapshotError> {
-        let ratings = CsrMatrix::load_from(snap, "ratings")?;
-        let rules = load_jagged(snap, "rules", ratings.cols(), ratings.cols())?;
-        Ok(Self::from_parts(ratings, rules))
-    }
-}
-
 impl Persistable for PureSvdRecommender {
     const KIND: &'static str = "SVD";
     const STATE_VERSION: u32 = 1;
@@ -435,7 +329,7 @@ impl Persistable for PureSvdRecommender {
         let [rank] = u64_array(snap, "rank")?;
         let rank = rank as usize;
         let item_factors = snap.f64s("item_factors")?;
-        if item_factors.len() != ratings.cols() * rank {
+        if ratings.cols().checked_mul(rank) != Some(item_factors.len()) {
             return Err(invalid(
                 "item_factors",
                 format!(
@@ -570,18 +464,6 @@ mod tests {
         assert_round_trip(&PageRankRecommender::plain(&train));
         assert_round_trip(&PageRankRecommender::discounted(&train));
         assert_round_trip(&PopularityRecommender::train(&train));
-        assert_round_trip(&KnnRecommender::train(
-            &train,
-            2,
-            crate::recommenders::UserSimilarity::Cosine,
-        ));
-        assert_round_trip(&AssociationRuleRecommender::train(
-            &train,
-            &crate::recommenders::RuleConfig {
-                min_support: 1,
-                min_confidence: 0.0,
-            },
-        ));
         assert_round_trip(&PureSvdRecommender::train(&train, 2));
         assert_round_trip(&LdaRecommender::train(&train, 2));
     }
@@ -592,9 +474,9 @@ mod tests {
         let pop = PopularityRecommender::train(&train);
         let bytes = pop.to_snapshot_bytes();
         assert!(matches!(
-            KnnRecommender::load_from_bytes(bytes),
+            PureSvdRecommender::load_from_bytes(bytes),
             Err(SnapshotError::KindMismatch {
-                expected: "KNN",
+                expected: "SVD",
                 ..
             })
         ));
@@ -610,19 +492,6 @@ mod tests {
     #[test]
     fn structurally_invalid_payloads_fail_typed() {
         let train = tiny_dataset();
-        // Neighbor id out of bounds.
-        let knn = KnnRecommender::train(&train, 2, crate::recommenders::UserSimilarity::Cosine);
-        let mut w = SnapshotWriter::new("KNN", 1);
-        knn.user_items().save_into(&mut w, "ratings");
-        save_jagged(
-            &mut w,
-            "neighbors",
-            &[vec![(99, 1.0)], vec![], vec![], vec![]],
-        );
-        assert!(matches!(
-            KnnRecommender::load_from_bytes(w.to_bytes()),
-            Err(SnapshotError::InvalidSection { .. })
-        ));
         // SVD factor matrix with the wrong length.
         let svd = PureSvdRecommender::train(&train, 2);
         let mut w = SnapshotWriter::new("SVD", 1);
@@ -633,6 +502,24 @@ mod tests {
             PureSvdRecommender::load_from_bytes(w.to_bytes()),
             Err(SnapshotError::InvalidSection { .. })
         ));
+        // A rank whose factor count overflows: on a 4-item catalog
+        // `4 · 2^63` wraps to 0, so an empty factor section must not pass
+        // for it, and on 5 items the product must not panic.
+        for n_items in [4, 5] {
+            let mut w = SnapshotWriter::new("SVD", 1);
+            Dataset::from_ratings(1, n_items, &[])
+                .user_items()
+                .save_into(&mut w, "ratings");
+            w.put_f64s("item_factors", &[]);
+            w.put_u64s("rank", &[1 << 63]);
+            assert!(
+                matches!(
+                    PureSvdRecommender::load_from_bytes(w.to_bytes()),
+                    Err(SnapshotError::InvalidSection { .. })
+                ),
+                "{n_items} items"
+            );
+        }
         // Missing section.
         let mut w = SnapshotWriter::new("POP", 1);
         w.put_u64s("unrelated", &[1]);

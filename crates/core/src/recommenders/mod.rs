@@ -1,11 +1,11 @@
-//! The recommendation algorithms: the paper's four variants and the four
-//! baselines it compares against.
+//! The recommendation algorithms, seven families: the paper's four variants
+//! (HT, AT and AC1/AC2), its three baselines (PageRank as PPR/DPPR,
+//! PureSVD and LDA, §5.1.1) and global popularity, the head-serving
+//! fallback.
 
 pub mod absorbing_cost;
 pub mod absorbing_time;
-pub mod assoc_rules;
 pub mod hitting_time;
-pub mod knn;
 pub mod lda_rec;
 pub mod pagerank_rec;
 pub mod popularity;
@@ -13,9 +13,7 @@ pub mod pure_svd;
 
 pub use absorbing_cost::{AbsorbingCostRecommender, EntropySource};
 pub use absorbing_time::AbsorbingTimeRecommender;
-pub use assoc_rules::{AssociationRuleRecommender, RuleConfig};
 pub use hitting_time::HittingTimeRecommender;
-pub use knn::{KnnRecommender, UserSimilarity};
 pub use lda_rec::LdaRecommender;
 pub use pagerank_rec::{PageRankFlavor, PageRankRecommender};
 pub use popularity::PopularityRecommender;

@@ -12,8 +12,7 @@
 
 use longtail_core::{
     AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,
-    HittingTimeRecommender, KnnRecommender, PageRankRecommender, Recommender, ScoringContext,
-    UserSimilarity,
+    HittingTimeRecommender, PageRankRecommender, Recommender, ScoringContext,
 };
 use longtail_data::{Dataset, Rating, SyntheticConfig, SyntheticData};
 
@@ -43,7 +42,6 @@ fn roster(train: &Dataset) -> Vec<Box<dyn Recommender>> {
         )),
         Box::new(PageRankRecommender::plain(train)),
         Box::new(PageRankRecommender::discounted(train)),
-        Box::new(KnnRecommender::train(train, 5, UserSimilarity::Cosine)),
     ]
 }
 

@@ -10,10 +10,9 @@
 //! pins so the suite stays bounded.
 
 use longtail_core::{
-    AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender,
-    AssociationRuleRecommender, GraphRecConfig, HittingTimeRecommender, KnnRecommender,
-    LdaRecommender, PageRankRecommender, Persistable, PopularityRecommender, PureSvdRecommender,
-    RecencyDecay, RecommendOptions, RuleConfig, ScoringContext, UserSimilarity,
+    AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,
+    HittingTimeRecommender, LdaRecommender, PageRankRecommender, Persistable,
+    PopularityRecommender, PureSvdRecommender, RecencyDecay, RecommendOptions, ScoringContext,
 };
 use longtail_data::{Dataset, Rating, TimedRating};
 use longtail_graph::{CsrMatrix, SnapshotError, SnapshotWriter};
@@ -134,14 +133,6 @@ proptest! {
     fn baseline_family_round_trips(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
         check_round_trip(&PopularityRecommender::train(&d), &d)?;
-        check_round_trip(&KnnRecommender::train(&d, 3, UserSimilarity::Cosine), &d)?;
-        check_round_trip(
-            &AssociationRuleRecommender::train(
-                &d,
-                &RuleConfig { min_support: 1, min_confidence: 0.0 },
-            ),
-            &d,
-        )?;
         check_round_trip(&PureSvdRecommender::train(&d, 4), &d)?;
         check_round_trip(&PageRankRecommender::plain(&d), &d)?;
         check_round_trip(&PageRankRecommender::discounted(&d), &d)?;

@@ -1,11 +1,11 @@
 //! Fused top-k equivalence: property tests over random bipartite graphs.
 //!
-//! The walks (HT/AT/AC), kNN, association rules, popularity and PureSVD
-//! override [`Recommender::recommend_into`] with a fused path
-//! (subgraph-only collection, candidate-set accumulation, early exit over a
-//! presorted order, streamed dots); LDA and PageRank (PPR/DPPR) serve
-//! through the trait's default score-then-collect path. These properties
-//! pin the serving contract for all 8 recommender families:
+//! The walks (HT/AT/AC), popularity and PureSVD override
+//! [`Recommender::recommend_into`] with a fused path (subgraph-only
+//! collection, early exit over a presorted order, streamed dots); LDA and
+//! PageRank (PPR/DPPR) serve through the trait's default score-then-collect
+//! path. These properties pin the serving contract for every family but
+//! popularity, whose fused path its own unit tests pin:
 //!
 //! * under [`DpStopping::Fixed`], `recommend_into(user, k)` is
 //!   **item-for-item and score-for-score identical** to
@@ -24,10 +24,10 @@
 //! pins so the suite stays bounded.
 
 use longtail_core::{
-    top_k, AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender,
-    AssociationRuleRecommender, DpStopping, ExclusionSet, GraphRecConfig, HittingTimeRecommender,
-    KnnRecommender, LdaRecommender, PageRankRecommender, PureSvdRecommender, RecommendOptions,
-    Recommender, RuleConfig, ScoredItem, ScoringContext, UserSimilarity,
+    top_k, AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, DpStopping,
+    ExclusionSet, GraphRecConfig, HittingTimeRecommender, LdaRecommender, PageRankRecommender,
+    PopularityRecommender, PureSvdRecommender, RecommendOptions, Recommender, ScoredItem,
+    ScoringContext,
 };
 use longtail_data::{Dataset, Rating};
 use longtail_topics::LdaConfig;
@@ -263,26 +263,6 @@ proptest! {
     }
 
     #[test]
-    fn knn_fused_matches_score_then_sort(rs in ratings()) {
-        let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
-        for similarity in [UserSimilarity::Cosine, UserSimilarity::Pearson] {
-            let rec = KnnRecommender::train(&d, 3, similarity);
-            check_both(&rec, &d)?;
-        }
-    }
-
-    #[test]
-    fn assoc_rules_fused_matches_score_then_sort(rs in ratings()) {
-        let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
-        // Loose thresholds so rules actually fire on tiny corpora.
-        let rec = AssociationRuleRecommender::train(
-            &d,
-            &RuleConfig { min_support: 1, min_confidence: 0.0 },
-        );
-        check_both(&rec, &d)?;
-    }
-
-    #[test]
     fn pure_svd_fused_matches_score_then_sort(rs in ratings()) {
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
         let rec = PureSvdRecommender::train(&d, 4);
@@ -303,16 +283,13 @@ proptest! {
     #[test]
     fn shared_context_across_fused_recommenders_is_pure(rs in ratings()) {
         // One context threaded through interleaved fused queries of models
-        // with different candidate-set disciplines must never leak state
-        // (the accum/touched invariant, the collector reset).
+        // with different candidate disciplines must never leak state (the
+        // shared scratch vector, the collector reset).
         let d = Dataset::from_ratings(N_USERS, N_ITEMS, &rs);
-        let knn = KnnRecommender::train(&d, 3, UserSimilarity::Cosine);
-        let rules = AssociationRuleRecommender::train(
-            &d,
-            &RuleConfig { min_support: 1, min_confidence: 0.0 },
-        );
+        let pop = PopularityRecommender::train(&d);
+        let svd = PureSvdRecommender::train(&d, 4);
         let at = AbsorbingTimeRecommender::new(&d, GraphRecConfig::default());
-        let recs: [&dyn Recommender; 3] = [&knn, &rules, &at];
+        let recs: [&dyn Recommender; 3] = [&pop, &svd, &at];
         let mut ctx = ScoringContext::new();
         let opts = RecommendOptions::default();
         let mut out = Vec::new();

@@ -18,10 +18,10 @@
 //! pins so the suite stays bounded.
 
 use longtail_core::{
-    AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender,
-    AssociationRuleRecommender, DpStopping, GraphRecConfig, HittingTimeRecommender, KnnRecommender,
-    LdaRecommender, PageRankRecommender, PureSvdRecommender, RecommendOptions, Recommender,
-    RerankIndex, RerankPolicy, Reranker, RuleConfig, ScoredItem, ScoringContext, UserSimilarity,
+    AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, DpStopping,
+    GraphRecConfig, HittingTimeRecommender, LdaRecommender, PageRankRecommender,
+    PureSvdRecommender, RecommendOptions, Recommender, RerankIndex, RerankPolicy, Reranker,
+    ScoredItem, ScoringContext,
 };
 use longtail_data::{Dataset, Rating};
 use longtail_topics::LdaConfig;
@@ -59,14 +59,6 @@ fn roster(d: &Dataset) -> Vec<Box<dyn Recommender>> {
         )),
         Box::new(PageRankRecommender::plain(d)),
         Box::new(PageRankRecommender::discounted(d)),
-        Box::new(KnnRecommender::train(d, 3, UserSimilarity::Cosine)),
-        Box::new(AssociationRuleRecommender::train(
-            d,
-            &RuleConfig {
-                min_support: 1,
-                min_confidence: 0.0,
-            },
-        )),
         Box::new(PureSvdRecommender::train(d, 4)),
         Box::new(LdaRecommender::train_with(
             d,

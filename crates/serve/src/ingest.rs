@@ -236,28 +236,6 @@ impl DeltaStore {
         }
     }
 
-    /// Accept a batch of appends (one lock acquisition), auto-publishing
-    /// per the config. Returns the epoch after the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rating value is not finite and positive. The whole
-    /// batch is checked first, so a bad rating anywhere leaves the store
-    /// untouched: no rating of the batch is accepted or counted.
-    pub fn append_batch(&self, ratings: &[DeltaRating]) -> u64 {
-        ratings.iter().for_each(check_value);
-        let mut state = self.state.lock();
-        state.appends += ratings.len() as u64;
-        for &rating in ratings {
-            state.pending.push(rating);
-            state.since_fold.push(rating);
-            if state.pending.len() >= self.config.publish_every {
-                self.publish_locked(&mut state);
-            }
-        }
-        state.epoch
-    }
-
     /// Force-fold the pending log into the live delta now, making every
     /// accepted append visible to queries. Returns the current epoch
     /// (bumped only if anything was actually pending).
@@ -524,7 +502,8 @@ mod tests {
     #[test]
     fn stats_count_appends_publishes_and_live_edges() {
         let store = DeltaStore::new(base(), DeltaConfig::default());
-        store.append_batch(&[rating(0, 1, 3.0, 1.0), rating(1, 0, 2.0, 2.0)]);
+        store.append(rating(0, 1, 3.0, 1.0));
+        store.append(rating(1, 0, 2.0, 2.0));
         store.publish();
         let s = store.stats();
         assert_eq!(s.appends, 2);
@@ -626,12 +605,11 @@ mod tests {
     }
 
     #[test]
-    fn a_bad_rating_rejects_its_whole_batch() {
+    fn a_rejected_rating_leaves_the_store_untouched() {
         for bad in [f64::INFINITY, 0.0] {
             let store = DeltaStore::new(base(), DeltaConfig::default());
-            let batch = [rating(0, 1, 3.0, 1.0), rating(1, 1, bad, 2.0)];
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                store.append_batch(&batch)
+                store.append(rating(1, 1, bad, 2.0))
             }));
             assert!(outcome.is_err(), "value {bad} must be rejected");
             assert_eq!(store.publish(), 0, "value {bad}: nothing was pending");

@@ -10,10 +10,9 @@
 #![allow(dead_code)]
 
 use longtail_core::{
-    AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender,
-    AssociationRuleRecommender, GraphRecConfig, HittingTimeRecommender, KnnRecommender,
-    LdaRecommender, PageRankRecommender, PopularityRecommender, PureSvdRecommender,
-    RecommendOptions, Recommender, RuleConfig, ScoredItem, ScoringContext, UserSimilarity,
+    AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,
+    HittingTimeRecommender, LdaRecommender, PageRankRecommender, PopularityRecommender,
+    PureSvdRecommender, RecommendOptions, Recommender, ScoredItem, ScoringContext,
 };
 use longtail_data::{Dataset, Rating};
 use longtail_serve::{EngineStats, Priority, SharedRecommender};
@@ -56,20 +55,6 @@ pub fn roster(d: &Dataset) -> Vec<(&'static str, SharedRecommender)> {
         (
             "AC2",
             Arc::new(AbsorbingCostRecommender::topic_entropy_auto(d, 2, ac)),
-        ),
-        (
-            "kNN",
-            Arc::new(KnnRecommender::train(d, 3, UserSimilarity::Cosine)),
-        ),
-        (
-            "rules",
-            Arc::new(AssociationRuleRecommender::train(
-                d,
-                &RuleConfig {
-                    min_support: 1,
-                    min_confidence: 0.0,
-                },
-            )),
         ),
         ("svd", Arc::new(PureSvdRecommender::train(d, 4))),
         (

@@ -85,7 +85,8 @@ impl LdaModel {
     /// # Panics
     ///
     /// Panics if `n_topics` is outside `1..=65_536`, if `alpha` or `beta` is
-    /// not finite and positive, or if the matrix has no positive entries.
+    /// not finite and positive, if `alpha · n_topics` or `beta · n_items`
+    /// overflows, or if the matrix has no positive entries.
     pub fn train(counts: &CsrMatrix, config: &LdaConfig) -> Self {
         let k = config.n_topics;
         assert!(
@@ -100,6 +101,20 @@ impl LdaModel {
         }
         let n_users = counts.rows();
         let n_items = counts.cols();
+        // Eqs. 12–14 divide by `α·K` and `β·|I|`: an infinite sum would
+        // zero every θ entry or every sampling weight.
+        let alpha_sum = config.alpha * k as f64;
+        let beta_sum = config.beta * n_items as f64;
+        assert!(
+            alpha_sum.is_finite(),
+            "LdaConfig::alpha · n_topics must be finite, got {:e} · {k}",
+            config.alpha
+        );
+        assert!(
+            beta_sum.is_finite(),
+            "LdaConfig::beta · n_items must be finite, got {:e} · {n_items}",
+            config.beta
+        );
 
         // Expand the sparse counts into a token stream. `doc_ptr` delimits
         // each user's tokens, exactly like CSR row pointers.
@@ -118,7 +133,6 @@ impl LdaModel {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let alpha = config.alpha;
         let beta = config.beta;
-        let beta_sum = beta * n_items as f64;
 
         // Count arrays (Algorithm 2's N1..N4): item-topic (item-major),
         // user-topic and topic totals. Per-user totals are implicit in
@@ -151,7 +165,6 @@ impl LdaModel {
             log_likelihood: Vec::with_capacity(config.iterations),
         };
         // Posterior means: Eq. 13 for φ, Eq. 14 for θ.
-        let alpha_sum = alpha * k as f64;
         let posterior =
             |model: &mut Self, n_item_topic: &[u32], n_user_topic: &[u32], denom: &[f64]| {
                 for z in 0..k {
@@ -538,6 +551,24 @@ mod tests {
     fn infinite_beta_rejected() {
         train_small(LdaConfig {
             beta: f64::INFINITY,
+            ..LdaConfig::with_topics(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "LdaConfig::alpha · n_topics must be finite, got 1e308 · 2")]
+    fn alpha_whose_sum_overflows_rejected() {
+        train_small(LdaConfig {
+            alpha: 1e308,
+            ..LdaConfig::with_topics(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "LdaConfig::beta · n_items must be finite, got 1e308 · 4")]
+    fn beta_whose_sum_overflows_rejected() {
+        train_small(LdaConfig {
+            beta: 1e308,
             ..LdaConfig::with_topics(2)
         });
     }

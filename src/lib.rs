@@ -68,12 +68,12 @@ pub use longtail_topics as topics;
 /// a recommender and evaluate it.
 pub mod prelude {
     pub use longtail_core::{
-        AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender,
-        AssociationRuleRecommender, DpStopping, DpTelemetry, EdgeDelta, EntropySource,
-        ExclusionSet, GraphRecConfig, HittingTimeRecommender, ItemProvenance, KnnRecommender,
-        LdaRecommender, PageRankFlavor, PageRankRecommender, Persistable, PopularityRecommender,
-        PureSvdRecommender, RecencyDecay, RecommendOptions, Recommender, RerankIndex, RerankPolicy,
-        Reranker, RuleConfig, ScoredItem, ScoringContext, TopKCollector, UserSimilarity,
+        AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, DpStopping,
+        DpTelemetry, EdgeDelta, EntropySource, ExclusionSet, GraphRecConfig,
+        HittingTimeRecommender, ItemProvenance, LdaRecommender, PageRankFlavor,
+        PageRankRecommender, Persistable, PopularityRecommender, PureSvdRecommender, RecencyDecay,
+        RecommendOptions, Recommender, RerankIndex, RerankPolicy, Reranker, ScoredItem,
+        ScoringContext, TopKCollector,
     };
     pub use longtail_data::{
         holdout_latest_favorites, holdout_longtail_favorites, Dataset, LongTailSplit, Ontology,
